@@ -41,7 +41,6 @@ from repro.autotune.policy import AutotunePolicy
 from repro.autotune.reconfig import (
     ReconfigExecutor,
     scheme_name,
-    service_capabilities,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "ReconfigExecutor",
     "replay_trace",
     "scheme_name",
-    "service_capabilities",
 ]

@@ -444,14 +444,11 @@ class AutotuneController:
             # *is* the window's work.
             deltas.append(cur if geometry_changed or cur < prev else
                           cur - prev)
-        busy = getattr(service, "_busy_until", None)
-        if busy is not None:
-            backlog = tuple(
-                round(max(0.0, float(np.max(b)) - float(now)), 6)
-                for b in busy
-            )
-        else:
-            backlog = tuple(0.0 for _ in service.shards)
+        backlog = tuple(
+            round(max(0.0, float(np.max(b)) - float(now)), 6)
+            for b in service._busy_until
+        )
+        writes = "update-capacity" in service.capabilities
         admitted = int(service.admission.admitted)
         shed = int(service.admission.shed)
         obs = Observation(
@@ -466,12 +463,8 @@ class AutotuneController:
             shed=shed - self._prev_shed,
             in_flight=int(service.admission.in_flight),
             capacity=int(service.admission.capacity),
-            pending_updates=int(
-                getattr(service, "pending_updates", 0)
-            ),
-            update_capacity=int(
-                getattr(service, "update_capacity", 0)
-            ),
+            pending_updates=int(service.pending_updates) if writes else 0,
+            update_capacity=int(service.update_capacity) if writes else 0,
         )
         self._prev_probes = cur_probes
         self._prev_replicas = cur_replicas
@@ -542,7 +535,7 @@ class AutotuneController:
         return applied
 
     def _export_gauges(self) -> None:
-        hub = getattr(self.service, "telemetry", None)
+        hub = self.service.telemetry
         if hub is None or hub.metrics is None:
             return
         m = hub.metrics

@@ -20,10 +20,11 @@ owns the three invariants every action must keep:
 - **Capability honesty** — structural actions swap whole tables and
   routers, which is impossible when replica state lives elsewhere (the
   multicore fabric's workers hold shared-memory segments; the dynamic
-  service's replicas advance by lockstep log replay).  Those
-  deployments are limited to admission tuning, and asking for more
-  raises :class:`~repro.errors.ActionUnsupportedError` instead of
-  corrupting a live table.
+  service's replicas advance by lockstep log replay).  Each service
+  class declares what it supports in its ``capabilities`` set; those
+  two declare admission tuning only, and asking for more raises
+  :class:`~repro.errors.ActionUnsupportedError` instead of corrupting
+  a live table.
 
 Split cloning follows the :class:`~repro.heal.ReplicaRebuilder` idiom:
 uncharged ``peek_row`` reads of the source replica with explicit
@@ -44,39 +45,11 @@ from repro.serve.router import LeastLoadedRouter, make_router
 from repro.telemetry.events import BUS, ReconfigEvent
 from repro.utils.rng import as_generator, spawn_generators
 
-#: Action kinds a plain in-process sharded service supports.
+#: Action kinds that rebuild a shard's replica set in place.
 STRUCTURAL_ACTIONS = ("split", "join", "scheme-switch")
 
-#: Action kinds every service supports (admission tuning).
-ADMISSION_ACTIONS = ("capacity",)
-
-
-def service_capabilities(service) -> frozenset:
-    """The action kinds the executor may apply to ``service``.
-
-    The multicore fabric keeps replica state in worker-held
-    shared-memory segments and the dynamic service keeps it in
-    lockstep-replayed logs — both get admission tuning only.  The
-    plain in-process :class:`~repro.serve.service.
-    ShardedDictionaryService` supports the full structural set.
-    """
-    caps = set(ADMISSION_ACTIONS)
-    # Imported lazily to keep this module importable without spinning
-    # up the multiprocessing / dynamic layers.
-    from repro.serve.dynamic_service import DynamicShardedService
-
-    if isinstance(service, DynamicShardedService):
-        caps.add("update-capacity")
-        return frozenset(caps)
-    from repro.parallel.fabric import ParallelDictionaryService
-
-    if isinstance(service, ParallelDictionaryService):
-        return frozenset(caps)
-    from repro.serve.service import ShardedDictionaryService
-
-    if isinstance(service, ShardedDictionaryService):
-        caps.update(STRUCTURAL_ACTIONS)
-    return frozenset(caps)
+#: Action kinds that retune an admission bound.
+ADMISSION_ACTIONS = ("capacity", "update-capacity")
 
 
 def scheme_name(dictionary) -> str:
@@ -104,7 +77,10 @@ class ReconfigExecutor:
 
     def __init__(self, service, seed=0):
         self.service = service
-        self.capabilities = service_capabilities(service)
+        #: The action kinds among the service's declared capabilities.
+        self.capabilities = service.capabilities & frozenset(
+            STRUCTURAL_ACTIONS + ADMISSION_ACTIONS
+        )
         self._rng, self._verify_rng = spawn_generators(
             as_generator(seed), 2
         )
@@ -215,11 +191,20 @@ class ReconfigExecutor:
     # -- structural actions ------------------------------------------------------
 
     def _rebuild_replica_set(self, old, replicas: int):
-        """A fresh replica set around ``old``'s inner, same fault layer."""
-        return ReplicatedDictionary(
+        """A fresh replica set around ``old``'s inner, same fault layer.
+
+        Survivors keep their live outer state verbatim (free
+        construction-time writes — state transfer is a memmove, not
+        probe work; deliberately including any undetected corruption,
+        a split must not silently heal).
+        """
+        new = ReplicatedDictionary(
             old.inner, replicas, mode=old.mode, faults=old.faults,
             max_retries=old.max_retries,
         )
+        for row in range(min(old.table.rows, new.table.rows)):
+            new.table.write_row(row, old.table._cells[row])
+        return new
 
     def _swap(self, shard: int, new, router, busy) -> int:
         """Atomically install a rebuilt shard at an epoch boundary."""
@@ -264,12 +249,6 @@ class ReconfigExecutor:
         before = d.replicas
         after = before + 1
         new = self._rebuild_replica_set(d, after)
-        # Survivors keep their live outer state verbatim (free
-        # construction-time writes — state transfer is a memmove, not
-        # probe work; deliberately including any undetected corruption,
-        # a split must not silently heal).
-        for row in range(d.table.rows):
-            new.table.write_row(row, d.table._cells[row])
         # The new replica clones row-by-row from the least-busy healthy
         # source, every read charged to the reconfiguration counter —
         # the ReplicaRebuilder discipline from repro.heal.
@@ -317,8 +296,6 @@ class ReconfigExecutor:
                 f"{float(busy[victim]):.3f} (graceful drain pending)"
             )
         new = self._rebuild_replica_set(d, after)
-        for row in range(new.table.rows):
-            new.table.write_row(row, d.table._cells[row])
         router = self._clone_router(service.routers[shard], after)
         epoch = self._swap(
             shard, new, router, busy[:after].copy(),

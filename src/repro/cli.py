@@ -212,11 +212,13 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _make_service(args, armed: bool = False):
+def _make_service(args, armed: bool = False, procs: int = 0):
     """Shared ``serve``/``loadgen`` setup: instance + service + dist.
 
     ``armed`` builds the shards over armed fault injectors so chaos
     events (crash/corrupt/stick) and the healing hooks are available.
+    ``procs >= 1`` serves the same shards through that many fabric
+    worker processes (:mod:`repro.parallel`).
     """
     import numpy as np
 
@@ -224,15 +226,7 @@ def _make_service(args, armed: bool = False):
     from repro.experiments.common import make_instance, uniform_distribution
     from repro.serve import build_service
 
-    faults = None
-    if armed:
-        from repro.faults import FaultConfig
-
-        faults = FaultConfig(armed=True)
-    keys, N = make_instance(args.n, args.seed)
-    service = build_service(
-        keys,
-        N,
+    options = dict(
         num_shards=args.shards,
         replicas=args.replicas,
         scheme=args.scheme,
@@ -241,9 +235,18 @@ def _make_service(args, armed: bool = False):
         max_delay=args.max_delay,
         capacity=args.capacity,
         probe_time=args.probe_time,
-        faults=faults,
         seed=args.seed + 1,
     )
+    keys, N = make_instance(args.n, args.seed)
+    if procs:
+        from repro.parallel import build_parallel_service
+
+        service = build_parallel_service(keys, N, procs=procs, **options)
+    else:
+        from repro.faults import FaultConfig
+
+        faults = FaultConfig(armed=True) if armed else None
+        service = build_service(keys, N, faults=faults, **options)
     if args.workload == "zipf":
         rng = np.random.default_rng(args.seed + 2)
         candidates = np.unique(
@@ -266,24 +269,26 @@ def _validate_serve_flags(args) -> None:
     of failing deep inside service construction.  ``--autotune``
     composes with every deployment: the controller is capability-gated,
     so the fabric and the dynamic service simply expose admission
-    tuning only.
+    tuning only; ``--heal`` needs the deployment's ``heal`` capability.
     """
     from repro.errors import ParameterError
+    from repro.parallel import ParallelDictionaryService
+    from repro.serve import DynamicShardedService, ShardedDictionaryService
+    from repro.serve.service import HEAL_UNSUPPORTED
 
-    if args.procs and args.heal:
-        raise ParameterError(
-            "--heal runs in-process only; the fabric (--procs) recovers "
-            "crashed workers by failover and respawn instead"
-        )
     if args.dynamic and args.procs:
         raise ParameterError(
             "--dynamic serves in-process; --procs applies to the static "
             "fabric only"
         )
-    if args.dynamic and args.heal:
+    service_cls = (
+        DynamicShardedService if args.dynamic
+        else ParallelDictionaryService if args.procs
+        else ShardedDictionaryService
+    )
+    if args.heal and "heal" not in service_cls.capabilities:
         raise ParameterError(
-            "--dynamic replicas recover by lockstep log replay; --heal "
-            "applies to the static service only"
+            "--heal: " + HEAL_UNSUPPORTED.format(service=service_cls.__name__)
         )
     if args.procs < 0:
         raise ParameterError(
@@ -309,96 +314,6 @@ def _autotune_summary(controller) -> str:
         f"{controller.executor.reconfig_probes} reconfig probes, "
         f"trace digest {controller.trace_digest()[:16]}"
     )
-
-
-def _cmd_serve_procs(args) -> int:
-    """The ``serve --procs N`` path: real worker processes, shared memory.
-
-    Clamps ``--procs`` to the host's CPU count (one-line stderr
-    warning), boots the :mod:`repro.parallel` fabric, answers the
-    seeded smoke workload through it, and (with ``--metrics``) prints
-    the Prometheus exposition including per-worker queue depths.
-    """
-    import os
-    import time
-
-    import numpy as np
-
-    from repro.experiments.common import make_instance
-    from repro.parallel import build_parallel_service
-
-    procs = int(args.procs)
-    cpus = os.cpu_count() or 1
-    if procs > cpus:
-        print(
-            f"warning: --procs {procs} exceeds the {cpus} available "
-            f"CPU(s); clamping to {cpus}",
-            file=sys.stderr,
-        )
-        procs = cpus
-    keys, N = make_instance(args.n, args.seed)
-    service = build_parallel_service(
-        keys,
-        N,
-        procs=procs,
-        num_shards=args.shards,
-        replicas=args.replicas,
-        scheme=args.scheme,
-        router=args.router,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay,
-        capacity=args.capacity,
-        seed=args.seed + 1,
-    )
-    controller = (
-        service.enable_autotune(seed=args.seed + 6)
-        if getattr(args, "autotune", False) else None
-    )
-    try:
-        print(
-            f"serving n={args.n} keys over universe [0, {N}) — "
-            f"{args.shards} shard(s) x {args.replicas} replicas, "
-            f"router={args.router}, {procs} worker process(es)"
-            + (", metrics on" if args.metrics else "")
-            + (", autotune on" if controller is not None else "")
-        )
-        exit_code = 0
-        if args.smoke_queries:
-            rng = np.random.default_rng(args.seed + 4)
-            xs = np.concatenate([
-                rng.choice(keys, size=args.smoke_queries // 2, replace=True),
-                rng.integers(
-                    0, N,
-                    size=args.smoke_queries - args.smoke_queries // 2,
-                ),
-            ]).astype(np.int64)
-            answers = service.query_batch(xs)
-            wrong = int(np.sum(answers != np.isin(xs, keys)))
-            print(
-                f"smoke: {xs.size} queries answered, {wrong} wrong, "
-                f"{service.fabric_stats.groups} groups, "
-                f"{service.stats.probes} probes, "
-                f"queue depths {service.queue_depths()}"
-            )
-            if wrong:
-                exit_code = 1
-        if args.duration > 0:
-            print(f"serving for {args.duration}s (ctrl-c to stop)")
-            try:
-                time.sleep(args.duration)
-            except KeyboardInterrupt:
-                pass
-        if args.metrics:
-            from repro.telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
-            service.export_metrics(registry)
-            print(registry.to_prometheus(), end="")
-        if controller is not None:
-            print(_autotune_summary(controller))
-    finally:
-        service.close()
-    return exit_code
 
 
 def _cmd_serve_dynamic(args) -> int:
@@ -542,7 +457,7 @@ def _cmd_serve_dynamic(args) -> int:
             f"checkpoint: wrote generation {generation} to "
             f"{args.checkpoint_dir} "
             f"({service.update_log_entries()} log entries retained, "
-            f"{service.stats_compactions} compaction(s))"
+            f"{service.stats.compactions} compaction(s))"
         )
     if controller is not None:
         print(_autotune_summary(controller))
@@ -551,6 +466,7 @@ def _cmd_serve_dynamic(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import os
 
     import numpy as np
 
@@ -559,9 +475,18 @@ def _cmd_serve(args) -> int:
     _validate_serve_flags(args)
     if args.dynamic:
         return _cmd_serve_dynamic(args)
-    if args.procs:
-        return _cmd_serve_procs(args)
-    keys, N, service, dist = _make_service(args, armed=args.heal)
+    procs = int(args.procs)
+    cpus = os.cpu_count() or 1
+    if procs > cpus:
+        print(
+            f"warning: --procs {procs} exceeds the {cpus} available "
+            f"CPU(s); clamping to {cpus}",
+            file=sys.stderr,
+        )
+        procs = cpus
+    keys, N, service, dist = _make_service(
+        args, armed=args.heal, procs=procs,
+    )
     if args.metrics:
         from repro.telemetry import TelemetryHub
 
@@ -578,6 +503,7 @@ def _cmd_serve(args) -> int:
                 f"serving n={args.n} keys over universe [0, {N}) — "
                 f"{args.shards} shard(s) x {args.replicas} replicas, "
                 f"router={args.router}"
+                + (f", {procs} worker process(es)" if procs else "")
                 + (", metrics on" if args.metrics else "")
                 + (", healing on" if manager is not None else "")
                 + (", autotune on" if controller is not None else "")
@@ -606,6 +532,8 @@ def _cmd_serve(args) -> int:
                 except (KeyboardInterrupt, asyncio.CancelledError):
                     pass
             if args.metrics:
+                if procs:
+                    service.export_metrics(service.telemetry.metrics)
                 snap = server.metrics_snapshot()
                 print(
                     f"metrics: {snap['server']['completed']} completed, "
@@ -627,7 +555,11 @@ def _cmd_serve(args) -> int:
                 print(_autotune_summary(controller))
         return 0
 
-    return asyncio.run(session())
+    try:
+        return asyncio.run(session())
+    finally:
+        if procs:
+            service.close()
 
 
 def _load_autotune_policy(path):
@@ -769,7 +701,7 @@ def _cmd_checkpoint_save(args) -> int:
         f"wrote generation {generation} ({args.shards} shard file(s)) "
         f"to {args.dir}: epochs {service.epochs_by_shard()}, "
         f"{service.update_log_entries()} log entries retained, "
-        f"{service.stats_compactions} compaction(s)"
+        f"{service.stats.compactions} compaction(s)"
     )
     return 0
 

@@ -420,7 +420,7 @@ def _part_c_bounded_log(fast: bool, seed: int) -> tuple[list[dict], bool]:
     ok = (
         peak_bounded <= slack
         and peak_unbounded == updates
-        and bounded.stats_compactions > 0
+        and bounded.stats.compactions > 0
         and identical and lifetime_visible
     )
     rows = [{
@@ -428,7 +428,7 @@ def _part_c_bounded_log(fast: bool, seed: int) -> tuple[list[dict], bool]:
         "retention": retention,
         "peak retained (bounded)": peak_bounded,
         "peak retained (unbounded)": peak_unbounded,
-        "compactions": bounded.stats_compactions,
+        "compactions": bounded.stats.compactions,
         "cells identical": bool(identical),
         "lifetime totals visible": bool(lifetime_visible),
         "ok": bool(ok),

@@ -436,6 +436,11 @@ class ParallelDictionaryService(ShardedDictionaryService):
     the engine and of the worker count.
     """
 
+    #: Replica state lives in worker-held shared memory, so the fabric
+    #: offers admission tuning only; crashed workers recover by
+    #: failover and :meth:`WorkerPool.respawn` instead of healing.
+    capabilities = frozenset(("capacity",))
+
     def __init__(
         self,
         shards,
@@ -476,22 +481,6 @@ class ParallelDictionaryService(ShardedDictionaryService):
             )
             if self.procs >= 1
             else None
-        )
-
-    # -- healing is an in-process feature ---------------------------------------
-
-    def enable_healing(self, config=None, seed=0):
-        """Unsupported on the fabric: worker crash recovery replaces it.
-
-        The in-process healing layer (scrub, witness dispatch, replica
-        rebuild) manipulates replica state the dispatcher no longer
-        executes against.  The fabric's failure story is worker-level:
-        crash failover plus :meth:`WorkerPool.respawn`.  Raises
-        :class:`~repro.errors.ParameterError` unconditionally.
-        """
-        raise ParameterError(
-            "healing runs in-process only; the parallel fabric handles "
-            "worker crashes via failover + WorkerPool.respawn"
         )
 
     # -- engine -----------------------------------------------------------------
@@ -539,10 +528,15 @@ class ParallelDictionaryService(ShardedDictionaryService):
                 time.sleep(1e-4)
 
     def _execute(self, groups: list[_Group]) -> dict[int, tuple]:
-        """Run groups on the configured engine: ``gid -> (answers, probes)``."""
+        """Run groups on the configured engine: ``gid -> (answers, probes)``.
+
+        The process engine ships every group before collecting any.
+        """
         if self.procs == 0:
             return self._execute_inline(groups)
-        return self._execute_procs(groups)
+        for g in groups:
+            self._send_group(g)
+        return self._collect({g.gid: g for g in groups})
 
     def _execute_inline(self, groups: list[_Group]) -> dict[int, tuple]:
         """Reference engine: the identical plan, run in this process."""
@@ -559,14 +553,6 @@ class ParallelDictionaryService(ShardedDictionaryService):
             )
         return results
 
-    def _execute_procs(self, groups: list[_Group]) -> dict[int, tuple]:
-        """Process engine: ship every group, then collect with failover."""
-        pending: dict[int, _Group] = {}
-        for g in groups:
-            self._send_group(g)
-            pending[g.gid] = g
-        return self._collect(pending)
-
     def _collect(self, pending: dict[int, _Group]) -> dict[int, tuple]:
         """Await every pending group's response, failing over crashes.
 
@@ -578,7 +564,8 @@ class ParallelDictionaryService(ShardedDictionaryService):
         deadline = time.monotonic() + self.dispatch_timeout
         while pending:
             progress = False
-            for h in self.workers_for_collection():
+            # Dead workers included: their rings outlive them.
+            for h in self.pool.workers:
                 for kind, payload in h.resp.consume_batch(128):
                     if kind != FRAME_RESPONSE:
                         continue
@@ -607,15 +594,6 @@ class ParallelDictionaryService(ShardedDictionaryService):
                 time.sleep(1e-4)
         return results
 
-    def workers_for_collection(self) -> list[WorkerHandle]:
-        """All worker slots with usable rings — dead ones included.
-
-        A crashed worker's response ring lives in shared memory, so
-        responses it finished before dying are still collectable; only
-        after that drain do its unfinished groups fail over.
-        """
-        return list(self.pool.workers)
-
     def _failover(self, pending: dict[int, _Group]) -> bool:
         """Resend any pending group whose worker died; True if any moved."""
         dead_ids = {
@@ -631,53 +609,18 @@ class ParallelDictionaryService(ShardedDictionaryService):
 
     # -- ticket path (overrides the in-process execution only) ------------------
 
-    def _dispatch(self, shard: int, batch) -> int:
-        """Route one flushed batch, execute on the engine, complete tickets."""
+    def _execute_batch(self, shard, tickets, xs, now, batch_span=None) -> None:
+        """Ship the batch's routed groups to the engine, then charge them."""
         router = self.routers[shard]
-        tickets = batch.requests
-        hub = self.telemetry
-        batch_span = (
-            hub.on_batch(shard, batch, tickets) if hub is not None else None
-        )
-        xs = np.asarray([t.key for t in tickets], dtype=np.int64)
-        assignment = router.assign(xs.shape[0])
-        order = np.arange(xs.shape[0])
         groups = []
-        for replica in np.unique(assignment):
-            sel = order[assignment == replica]
-            groups.append(self._make_group(shard, int(replica), xs[sel], sel))
-            if hub is not None:
-                hub.on_route(
-                    shard, int(replica), router.name, int(sel.size),
-                    float(batch.flushed), batch_span,
-                )
+        for replica, sel in self._groups(router, xs.shape[0]):
+            groups.append(self._make_group(shard, replica, xs[sel], sel))
+            self._route(shard, router, replica, int(sel.size), now, batch_span)
         results = self._execute(groups)
-        now = float(batch.flushed)
-        busy = self._busy_until[shard]
         for g in groups:
             answers, probes = results[g.gid]
-            router.record(g.replica, probes)
-            self.stats.probes += probes
-            start = max(now, float(busy[g.replica]))
-            finish = start + probes * self.probe_time
-            busy[g.replica] = finish
-            if hub is not None:
-                hub.on_dispatch(
-                    g.shard, g.replica, probes, start, finish, batch_span,
-                )
-            for pos, i in enumerate(g.positions):
-                tickets[i].answer = bool(answers[pos])
-                tickets[i].completion = finish
-                tickets[i].replica = g.replica
-        self.stats.batches += 1
-        done = [t for t in tickets if t.done]
-        self.admission.release(len(done))
-        self.stats.completed += len(done)
-        if hub is not None:
-            hub.on_batch_done(shard, done, batch_span, service=self)
-        if self.on_complete is not None and done:
-            self.on_complete(done)
-        return len(done)
+            finish = self._charge(shard, g.replica, probes, now, batch_span)
+            self._stamp(tickets, g.positions, answers, finish, g.replica)
 
     # -- bulk path (the E22 throughput surface) ---------------------------------
 
@@ -695,21 +638,17 @@ class ParallelDictionaryService(ShardedDictionaryService):
         xs = np.asarray(xs, dtype=np.int64)
         if xs.ndim != 1:
             raise ParameterError("query_batch expects a 1-d key array")
-        shard_of_each = (
-            np.searchsorted(self._boundaries, xs, side="right") - 1
-        )
+        shard_of_each = self._shards_of(xs)
         groups: list[_Group] = []
         for shard in range(self.num_shards):
             idx = np.nonzero(shard_of_each == shard)[0]
             router = self.routers[shard]
             for lo in range(0, idx.size, self._max_batch):
                 sel = idx[lo:lo + self._max_batch]
-                assignment = router.assign(sel.size)
-                for replica in np.unique(assignment):
-                    pick = sel[assignment == replica]
-                    groups.append(
-                        self._make_group(shard, int(replica), xs[pick], pick)
-                    )
+                for replica, pick in self._groups(router, sel.size):
+                    groups.append(self._make_group(
+                        shard, replica, xs[sel[pick]], sel[pick],
+                    ))
         results = self._execute(groups)
         answers = np.zeros(xs.size, dtype=bool)
         for g in groups:

@@ -69,7 +69,6 @@ from repro.serve.router import (
     make_router,
 )
 from repro.serve.dynamic_service import (
-    DynamicServiceStats,
     DynamicShardedService,
     UpdateTicket,
     build_dynamic_service,
@@ -90,7 +89,6 @@ __all__ = [
     "ChaosReport",
     "ChaosSchedule",
     "CircuitBreaker",
-    "DynamicServiceStats",
     "DynamicShardedService",
     "HEALTH_STATES",
     "HealthConfig",

@@ -35,6 +35,7 @@ from repro.errors import (
     OverloadError,
     ParameterError,
 )
+from repro.serve.client import _flush_due
 from repro.serve.service import ShardedDictionaryService, Ticket
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_integer
@@ -296,14 +297,6 @@ def _snapshot(service: ShardedDictionaryService, now: float) -> dict:
             }
         ),
     }
-
-
-def _flush_due(service: ShardedDictionaryService, now: float) -> None:
-    while True:
-        deadline = service.next_deadline()
-        if deadline is None or deadline > now:
-            return
-        service.advance(deadline)
 
 
 def run_chaos(

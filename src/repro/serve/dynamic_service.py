@@ -51,18 +51,11 @@ import numpy as np
 
 from repro.dynamic.epoch import EpochPin
 from repro.dynamic.replicated import ReplicatedDynamicDictionary
-from repro.errors import (
-    DegradedModeError,
-    OverloadError,
-    ParameterError,
-    QueryError,
-    UpdateBacklogError,
-)
-from repro.serve.admission import AdmissionController
+from repro.errors import UpdateBacklogError
 from repro.serve.batcher import Batch, MicroBatcher
-from repro.serve.service import Ticket
-from repro.telemetry.events import BUS, DispatchEvent, UpdateEvent
-from repro.utils.rng import as_generator, spawn_generators
+from repro.serve.service import ShardedDictionaryService
+from repro.telemetry.events import BUS, UpdateEvent
+from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_integer
 
 
@@ -94,27 +87,17 @@ class UpdateTicket:
         return self.completion is not None
 
 
-@dataclasses.dataclass
-class DynamicServiceStats:
-    """Lifetime counters of one dynamic service instance."""
+class DynamicShardedService(ShardedDictionaryService):
+    """Shards of replicated dynamic dictionaries behind read+write batching.
 
-    submitted: int = 0
-    completed: int = 0
-    batches: int = 0
-    probes: int = 0
-    updates_submitted: int = 0
-    updates_applied: int = 0
-    update_groups: int = 0
-    shed_reads: int = 0
-    shed_updates: int = 0
+    Keeps :class:`~repro.serve.service.ShardedDictionaryService`'s
+    request path and adds the write path.  A read batch executes as one
+    majority vote across the shard's live replicas, so it neither
+    routes nor queues behind a replica: the inherited routers and
+    busy-until clocks stay idle, and autotune observes no backlog.
+    """
 
-    def row(self) -> dict:
-        """Flat dict for experiment tables."""
-        return dataclasses.asdict(self)
-
-
-class DynamicShardedService:
-    """Shards of replicated dynamic dictionaries behind read+write batching."""
+    capabilities = frozenset(("capacity", "update-capacity"))
 
     def __init__(
         self,
@@ -130,49 +113,24 @@ class DynamicShardedService:
         seed=0,
         log_retention: int | None = None,
     ):
-        if not shards:
-            raise ParameterError("service needs at least one shard")
-        if len(boundaries) != len(shards):
-            raise ParameterError(
-                f"{len(shards)} shards need {len(shards)} boundaries, "
-                f"got {len(boundaries)}"
-            )
-        if list(boundaries) != sorted(set(int(b) for b in boundaries)):
-            raise ParameterError("boundaries must be strictly increasing")
-        if int(boundaries[0]) != 0:
-            raise ParameterError("first shard must start at key 0")
-        self.universe_size = int(shards[0].universe_size)
-        if any(int(s.universe_size) != self.universe_size for s in shards):
-            raise ParameterError("shards must share one universe size")
+        super().__init__(
+            shards,
+            boundaries,
+            max_batch=max_batch,
+            max_delay=max_delay,
+            capacity=capacity,
+            probe_time=probe_time,
+            seed=seed,
+        )
         check_positive_integer("update_capacity", update_capacity)
-        self.shards = list(shards)
-        self.num_shards = len(self.shards)
         for i, shard in enumerate(self.shards):
             shard.set_shard(i)
-        self._boundaries = np.asarray(
-            [int(b) for b in boundaries], dtype=np.int64
-        )
-        streams = spawn_generators(as_generator(seed), self.num_shards + 1)
-        self._rng = streams[-1]
-        self.batchers = [
-            MicroBatcher(max_size=max_batch, max_delay=max_delay)
-            for _ in range(self.num_shards)
-        ]
         self.write_batchers = [
             MicroBatcher(max_size=update_batch, max_delay=update_delay)
             for _ in range(self.num_shards)
         ]
-        self.admission = AdmissionController(capacity=capacity)
         self.update_capacity = int(update_capacity)
         self._pending_updates = 0
-        self.probe_time = float(probe_time)
-        self.stats = DynamicServiceStats()
-        #: Optional :class:`~repro.telemetry.hub.TelemetryHub`; every
-        #: call site is guarded so ``None`` runs the seed code path.
-        self.telemetry = None
-        #: Optional :class:`~repro.autotune.controller.AutotuneController`;
-        #: every call site is guarded so ``None`` runs the seed code path.
-        self.autotune = None
         self._log_warned = False
         if log_retention is not None:
             check_positive_integer("log_retention", log_retention)
@@ -186,8 +144,6 @@ class DynamicShardedService:
         self.checkpoints = None
         self._checkpoint_every: float | None = None
         self._next_checkpoint: float | None = None
-        self.stats_compactions = 0
-        self.stats_checkpoints = 0
         #: Constructor keywords :func:`restore_dynamic_service` rebuilds
         #: the service with (checkpoint metadata).  A Generator seed is
         #: not recordable; restore then falls back to seed 0 — answers
@@ -204,26 +160,6 @@ class DynamicShardedService:
         }
         if isinstance(seed, (int, np.integer)):
             self.build_config["seed"] = int(seed)
-
-    def attach_telemetry(self, hub) -> None:
-        """Attach a :class:`~repro.telemetry.hub.TelemetryHub` (or None)."""
-        self.telemetry = hub
-
-    def enable_autotune(self, policy=None, seed=0, enabled=True):
-        """Attach and return an :class:`~repro.autotune.controller.
-        AutotuneController` tuning this service's admission bounds.
-
-        The dynamic service exposes admission tuning only (``capacity``
-        and ``update-capacity``): replica state advances by lockstep log
-        replay, so structural actions raise
-        :class:`~repro.errors.ActionUnsupportedError` by capability.
-        """
-        from repro.autotune.controller import AutotuneController
-
-        self.autotune = AutotuneController(
-            self, policy=policy, seed=seed, enabled=enabled
-        )
-        return self.autotune
 
     def attach_checkpoints(self, store, every: float | None = None) -> None:
         """Attach a :class:`~repro.persist.CheckpointStore` (or None).
@@ -261,7 +197,7 @@ class DynamicShardedService:
         generation = self.checkpoints.save(
             self, now=float(now), compacted=compacted
         )
-        self.stats_checkpoints += 1
+        self.stats.checkpoints += 1
         return generation
 
     def compact_logs(self) -> int:
@@ -274,19 +210,8 @@ class DynamicShardedService:
         for shard in self.shards:
             folded += shard.compact_log()
         if folded:
-            self.stats_compactions += 1
+            self.stats.compactions += 1
         return folded
-
-    # -- keyspace ----------------------------------------------------------------
-
-    def shard_of(self, x: int) -> int:
-        """Index of the shard whose keyspace range contains ``x``."""
-        x = int(x)
-        if not 0 <= x < self.universe_size:
-            raise QueryError(
-                f"query {x} outside universe [0, {self.universe_size})"
-            )
-        return int(np.searchsorted(self._boundaries, x, side="right") - 1)
 
     # -- the write path ----------------------------------------------------------
 
@@ -366,48 +291,21 @@ class DynamicShardedService:
 
     # -- the read path -----------------------------------------------------------
 
-    def submit(self, x: int, now: float, priority: int = 0) -> Ticket:
-        """Admit one read at virtual time ``now`` (sheds via OverloadError)."""
-        shard = self.shard_of(x)
-        try:
-            self.admission.admit(priority=priority)
-        except (OverloadError, DegradedModeError):
-            self.stats.shed_reads += 1
-            raise
-        ticket = Ticket(
-            key=int(x), shard=shard, arrival=float(now),
-            priority=int(priority),
-        )
-        self.stats.submitted += 1
-        batch = self.batchers[shard].add(ticket, now)
-        if batch is not None:
-            self._dispatch(shard, batch)
-        return ticket
+    def _flush(self, now: float, drain: bool) -> int:
+        """Apply due (or, draining, all) write groups, then flush reads.
 
-    def next_deadline(self) -> float | None:
-        """Earliest pending flush deadline across all batchers."""
-        deadlines = [
-            b.next_deadline()
-            for b in self.batchers + self.write_batchers
-            if b.next_deadline() is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def advance(self, now: float) -> int:
-        """Flush every due batch (writes before reads); returns completions."""
-        completed = 0
+        Writes go first, so a read flushed at ``now`` sees every update
+        due by ``now``; a non-draining flush then writes any checkpoint
+        the attached store's cadence calls for.
+        """
         for shard, batcher in enumerate(self.write_batchers):
-            batch = batcher.poll(now)
+            batch = batcher.drain(now) if drain else batcher.poll(now)
             if batch is not None:
                 self._apply_group(shard, batch)
-        for shard, batcher in enumerate(self.batchers):
-            batch = batcher.poll(now)
-            if batch is not None:
-                completed += self._dispatch(shard, batch)
-        if self.autotune is not None:
-            self.autotune.tick(float(now))
+        completed = super()._flush(now, drain)
         if (
-            self.checkpoints is not None
+            not drain
+            and self.checkpoints is not None
             and self._checkpoint_every is not None
         ):
             if self._next_checkpoint is None:
@@ -417,44 +315,17 @@ class DynamicShardedService:
                 self._next_checkpoint = float(now) + self._checkpoint_every
         return completed
 
-    def drain(self, now: float) -> int:
-        """Flush everything pending regardless of deadline (shutdown)."""
-        completed = 0
-        for shard in range(self.num_shards):
-            self._flush_writes(shard, now)
-        for shard, batcher in enumerate(self.batchers):
-            batch = batcher.drain(now)
-            if batch is not None:
-                completed += self._dispatch(shard, batch)
-        if self.autotune is not None:
-            self.autotune.tick(float(now))
-        return completed
-
-    def _dispatch(self, shard: int, batch: Batch) -> int:
+    def _execute_batch(self, shard, tickets, xs, now, batch_span=None) -> None:
         """Execute one flushed read batch against the shard's vote."""
         # Read-your-writes: updates admitted before this read flush are
         # applied before the read executes.
-        self._flush_writes(shard, float(batch.flushed))
+        self._flush_writes(shard, now)
         dictionary = self.shards[shard]
-        tickets: list[Ticket] = batch.requests
-        xs = np.asarray([t.key for t in tickets], dtype=np.int64)
         before = int(dictionary.replica_probe_loads().sum())
         answers = dictionary.query_batch(xs, self._rng)
         probes = int(dictionary.replica_probe_loads().sum()) - before
-        self.stats.probes += probes
-        finish = float(batch.flushed) + probes * self.probe_time
-        if BUS.active:
-            BUS.emit(DispatchEvent(
-                shard=shard, replica=-1, probes=probes,
-                start=float(batch.flushed), finish=finish,
-            ))
-        for t, a in zip(tickets, answers):
-            t.answer = bool(a)
-            t.completion = finish
-        self.stats.batches += 1
-        self.admission.release(len(tickets))
-        self.stats.completed += len(tickets)
-        return len(tickets)
+        finish = self._account(shard, -1, probes, now, batch_span)
+        self._stamp(tickets, range(len(tickets)), answers, finish, None)
 
     # -- pinned multi-key reads ----------------------------------------------------
 
@@ -468,14 +339,7 @@ class DynamicShardedService:
         to the epoch the read observed.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if keys.size and (
-            int(keys.min()) < 0 or int(keys.max()) >= self.universe_size
-        ):
-            bad = keys[(keys < 0) | (keys >= self.universe_size)][0]
-            raise QueryError(
-                f"query {int(bad)} outside universe [0, {self.universe_size})"
-            )
-        shard_ids = np.searchsorted(self._boundaries, keys, side="right") - 1
+        shard_ids = self._shards_of(keys)
         answers = np.zeros(keys.shape, dtype=bool)
         epochs: dict[int, int] = {}
         pins: list[tuple[int, EpochPin, np.ndarray]] = []
@@ -494,10 +358,6 @@ class DynamicShardedService:
             for _, pin, _ in pins:
                 pin.release()
         return answers, epochs
-
-    def pin_shard(self, shard: int) -> EpochPin:
-        """Pin one shard's current epoch (caller releases)."""
-        return self.shards[int(shard)].pin()
 
     # -- fault passthrough ---------------------------------------------------------
 
@@ -540,17 +400,12 @@ class DynamicShardedService:
         """
         return sum(int(s.retained_log_entries) for s in self.shards)
 
-    def replica_loads(self) -> list[np.ndarray]:
-        """Per-shard arrays of probes charged to each replica so far."""
-        return [s.replica_probe_loads() for s in self.shards]
-
     def stats_row(self) -> dict:
         """Service counters plus per-shard epoch/fault/space stats."""
-        row = self.stats.row()
+        row = super().stats_row()
+        del row["failovers"]  # a majority vote never fails over
         row["pending_updates"] = self._pending_updates
         row["update_log_entries"] = self.update_log_entries()
-        row["compactions"] = self.stats_compactions
-        row["checkpoints"] = self.stats_checkpoints
         for i, shard in enumerate(self.shards):
             for k, v in shard.stats().items():
                 row[f"shard{i}_{k}"] = v

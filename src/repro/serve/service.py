@@ -62,6 +62,14 @@ from repro.telemetry.events import (
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import check_positive_integer
 
+#: Why a deployment without the ``heal`` capability refuses healing.
+HEAL_UNSUPPORTED = (
+    "healing is unsupported by {service}: it runs in-process only, on "
+    "the static service; the fabric (--procs) recovers crashed workers "
+    "by failover and respawn, and --dynamic replicas recover by "
+    "lockstep log replay"
+)
+
 
 @dataclasses.dataclass
 class Ticket:
@@ -92,13 +100,24 @@ class Ticket:
 
 @dataclasses.dataclass
 class ServiceStats:
-    """Lifetime counters of one service instance."""
+    """Lifetime counters of one service instance.
+
+    One class for every deployment: the write-path counters stay zero
+    on the read-only ones, and ``failovers`` on the dynamic service.
+    """
 
     submitted: int = 0
     completed: int = 0
     batches: int = 0
     probes: int = 0
     failovers: int = 0
+    shed_reads: int = 0
+    updates_submitted: int = 0
+    updates_applied: int = 0
+    update_groups: int = 0
+    shed_updates: int = 0
+    compactions: int = 0
+    checkpoints: int = 0
 
     def row(self) -> dict:
         """Flat dict for experiment tables."""
@@ -107,6 +126,12 @@ class ServiceStats:
 
 class ShardedDictionaryService:
     """Shards × replicas of a static dictionary behind batch + routing.
+
+    This class owns the request path of every deployment: keyspace
+    checks, admission, micro-batching, per-group charging and ticket
+    completion.  The multicore fabric and the dynamic service subclass
+    it and override only :meth:`_execute_batch` — how one flushed batch
+    runs — plus what their :attr:`capabilities` leave out or add.
 
     Parameters
     ----------
@@ -130,6 +155,15 @@ class ShardedDictionaryService:
     seed:
         Seeds the query-execution RNG and the routers.
     """
+
+    #: What this deployment supports beyond serving reads: the action
+    #: kinds the autotune :class:`~repro.autotune.reconfig.
+    #: ReconfigExecutor` may apply (``capacity``, ``update-capacity``,
+    #: ``split``, ``join``, ``scheme-switch``) and ``heal`` for
+    #: :meth:`enable_healing`.
+    capabilities = frozenset(
+        ("capacity", "split", "join", "scheme-switch", "heal")
+    )
 
     def __init__(
         self,
@@ -176,6 +210,8 @@ class ShardedDictionaryService:
             MicroBatcher(max_size=max_batch, max_delay=max_delay)
             for _ in range(self.num_shards)
         ]
+        #: Per-shard write batchers (none on a read-only deployment).
+        self.write_batchers: list[MicroBatcher] = []
         self.admission = AdmissionController(capacity=capacity)
         self.probe_time = float(probe_time)
         # Per-(shard, replica) virtual busy-until times: dispatched
@@ -209,8 +245,14 @@ class ShardedDictionaryService:
         replica rebuild, verified dispatch, and priority-aware graceful
         degradation.  Never calling this leaves every healing call site
         behind ``self.health is None`` — the seed code path,
-        byte-identical probe accounting included.
+        byte-identical probe accounting included.  Raises
+        :class:`~repro.errors.ParameterError` on a deployment without
+        the ``heal`` capability.
         """
+        if "heal" not in self.capabilities:
+            raise ParameterError(HEAL_UNSUPPORTED.format(
+                service=type(self).__name__
+            ))
         # Imported here: repro.serve.health imports the dictionary layer,
         # and keeping service importable without it preserves layering.
         from repro.serve.health import HealthManager
@@ -223,7 +265,8 @@ class ShardedDictionaryService:
         AutotuneController` driving this service's configuration.
 
         The controller ticks from :meth:`advance` / :meth:`drain`, paced
-        by its policy's ``check_every`` in virtual time.  Never calling
+        by its policy's ``check_every`` in virtual time, and applies
+        only the action kinds in :attr:`capabilities`.  Never calling
         this — or attaching with ``enabled=False`` — leaves every call
         site behind ``self.autotune is None`` / a no-op tick: the seed
         code path, byte-identical probe accounting included.
@@ -250,6 +293,16 @@ class ShardedDictionaryService:
             np.searchsorted(self._boundaries, x, side="right") - 1
         )
 
+    def _shards_of(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`shard_of` over an int64 key array."""
+        bad = (keys < 0) | (keys >= self.universe_size)
+        if bool(np.any(bad)):
+            raise QueryError(
+                f"query {int(keys[bad][0])} outside universe "
+                f"[0, {self.universe_size})"
+            )
+        return np.searchsorted(self._boundaries, keys, side="right") - 1
+
     # -- request path ------------------------------------------------------------
 
     def submit(self, x: int, now: float, priority: int = 0) -> Ticket:
@@ -267,6 +320,7 @@ class ShardedDictionaryService:
         try:
             self.admission.admit(priority=priority)
         except (OverloadError, DegradedModeError):
+            self.stats.shed_reads += 1
             if hub is not None:
                 hub.on_shed(
                     float(now), self.admission.in_flight,
@@ -287,30 +341,28 @@ class ShardedDictionaryService:
         return ticket
 
     def next_deadline(self) -> float | None:
-        """Earliest pending flush deadline across shards (None if idle)."""
+        """Earliest pending flush deadline of any batcher (None if idle)."""
         deadlines = [
-            b.next_deadline()
-            for b in self.batchers
-            if b.next_deadline() is not None
+            d for d in (
+                b.next_deadline() for b in self.batchers + self.write_batchers
+            )
+            if d is not None
         ]
         return min(deadlines) if deadlines else None
 
     def advance(self, now: float) -> int:
         """Flush every batch whose deadline passed; returns completions."""
-        completed = 0
-        for shard, batcher in enumerate(self.batchers):
-            batch = batcher.poll(now)
-            if batch is not None:
-                completed += self._dispatch(shard, batch)
-        if self.autotune is not None:
-            self.autotune.tick(float(now))
-        return completed
+        return self._flush(now, drain=False)
 
     def drain(self, now: float) -> int:
         """Flush all pending requests regardless of deadline (shutdown)."""
+        return self._flush(now, drain=True)
+
+    def _flush(self, now: float, drain: bool) -> int:
+        """Dispatch each shard's due (or, draining, pending) read batch."""
         completed = 0
         for shard, batcher in enumerate(self.batchers):
-            batch = batcher.drain(now)
+            batch = batcher.drain(now) if drain else batcher.poll(now)
             if batch is not None:
                 completed += self._dispatch(shard, batch)
         if self.autotune is not None:
@@ -320,23 +372,16 @@ class ShardedDictionaryService:
     # -- dispatch ----------------------------------------------------------------
 
     def _dispatch(self, shard: int, batch: Batch) -> int:
-        """Execute one flushed batch: route, run, time, complete."""
-        dictionary = self.shards[shard]
-        router = self.routers[shard]
+        """Execute one flushed batch, then complete its tickets."""
         tickets: list[Ticket] = batch.requests
         hub = self.telemetry
         batch_span = (
             hub.on_batch(shard, batch, tickets) if hub is not None else None
         )
         xs = np.asarray([t.key for t in tickets], dtype=np.int64)
-        assignment = router.assign(xs.shape[0])
-        order = np.arange(xs.shape[0])
-        for replica in np.unique(assignment):
-            sel = order[assignment == replica]
-            self._run_group(
-                shard, dictionary, router, tickets, xs, sel,
-                int(replica), batch.flushed, batch_span,
-            )
+        self._execute_batch(
+            shard, tickets, xs, float(batch.flushed), batch_span
+        )
         self.stats.batches += 1
         done = [t for t in tickets if t.done]
         self.admission.release(len(done))
@@ -348,6 +393,81 @@ class ShardedDictionaryService:
         if self.on_complete is not None and done:
             self.on_complete(done)
         return len(done)
+
+    def _execute_batch(
+        self,
+        shard: int,
+        tickets: list[Ticket],
+        xs: np.ndarray,
+        now: float,
+        batch_span=None,
+    ) -> None:
+        """Route the batch and run each replica's group in-process."""
+        dictionary = self.shards[shard]
+        router = self.routers[shard]
+        for replica, sel in self._groups(router, xs.shape[0]):
+            self._run_group(
+                shard, dictionary, router, tickets, xs, sel, replica, now,
+                batch_span,
+            )
+
+    @staticmethod
+    def _groups(router, size: int):
+        """Yield ``(replica, positions)`` for each replica ``router`` picks."""
+        assignment = router.assign(size)
+        order = np.arange(size)
+        for replica in np.unique(assignment):
+            yield int(replica), order[assignment == replica]
+
+    def _route(self, shard, router, replica, size, now, batch_span) -> None:
+        """Announce one routed group to the hub and the event bus."""
+        hub = self.telemetry
+        if hub is not None:
+            hub.on_route(
+                shard, replica, router.name, size, float(now), batch_span,
+            )
+        if BUS.active:
+            BUS.emit(RouteEvent(
+                shard=shard, replica=replica, policy=router.name,
+                size=size,
+            ))
+
+    def _charge(self, shard, replica, probes, now, batch_span) -> float:
+        """Charge one replica's group; returns its completion time.
+
+        The group queues behind whatever the replica is still serving,
+        and the router learns the load.
+        """
+        self.routers[shard].record(replica, probes)
+        busy = self._busy_until[shard]
+        start = max(float(now), float(busy[replica]))
+        finish = self._account(shard, replica, probes, start, batch_span)
+        busy[replica] = finish
+        return finish
+
+    def _account(self, shard, replica, probes, start, batch_span) -> float:
+        """Count ``probes`` served from ``start``; returns the finish time."""
+        self.stats.probes += probes
+        finish = start + probes * self.probe_time
+        if self.telemetry is not None:
+            self.telemetry.on_dispatch(
+                shard, replica, probes, start, finish, batch_span,
+            )
+        if BUS.active:
+            BUS.emit(DispatchEvent(
+                shard=shard, replica=replica, probes=probes,
+                start=start, finish=finish,
+            ))
+        return finish
+
+    @staticmethod
+    def _stamp(tickets, positions, answers, finish, replica) -> None:
+        """Complete the tickets at ``positions`` with their answers."""
+        for pos, i in enumerate(positions):
+            ticket = tickets[i]
+            ticket.answer = bool(answers[pos])
+            ticket.completion = finish
+            ticket.replica = replica
 
     def _run_group(
         self,
@@ -362,7 +482,6 @@ class ShardedDictionaryService:
         batch_span=None,
     ) -> None:
         """Run one replica's share of a batch, failing over on crashes."""
-        hub = self.telemetry
         if replica not in router.live:
             # The batch's assignment is computed once at flush time, so
             # a replica taken down *mid-batch* — e.g. quarantined after
@@ -372,104 +491,59 @@ class ShardedDictionaryService:
             # adversarial search; partial corruption evades the
             # detectable-failure retry path below).
             replica = int(router.assign(1)[0])
-        if hub is not None:
-            hub.on_route(
-                shard, replica, router.name, int(sel.size), float(now),
-                batch_span,
+        self._route(shard, router, replica, int(sel.size), now, batch_span)
+        keys = xs[sel]
+        result = self._query_group_on(
+            shard, dictionary, router, keys, replica, now, batch_span,
+        )
+        while result is None:
+            replica = int(router.assign(1)[0])
+            result = self._query_group_on(
+                shard, dictionary, router, keys, replica, now, batch_span,
             )
-        if BUS.active:
-            BUS.emit(RouteEvent(
-                shard=shard, replica=replica, policy=router.name,
-                size=int(sel.size),
-            ))
-        while True:
-            before = dictionary.table.counter.total_probes()
-            try:
-                answers = dictionary.query_batch_on(
-                    xs[sel], replica, self._rng
-                )
-            except ReplicaUnavailableError:
-                # PR 2 composition: the crash marks the replica down,
-                # the router reweights, and the batch retries on a
-                # survivor.  No healthy replica left raises
-                # FaultExhaustedError out of the service.
-                router.mark_down(replica)
-                self.stats.failovers += 1
-                if hub is not None:
-                    hub.on_failover(shard, replica, float(now), batch_span)
-                if BUS.active:
-                    BUS.emit(FailoverEvent(shard=shard, replica=replica))
-                if self.health is not None:
-                    self.health.on_crash(shard, replica, float(now))
-                candidates = router.assign(1)
-                replica = int(candidates[0])
-                continue
-            except _REPLICA_FAILURES:
-                # Detectable corruption drove the query algorithm into
-                # an impossible state.  With healing on, quarantine the
-                # replica and retry elsewhere (the probes it already
-                # charged stay charged — honest accounting); without
-                # it, this stays the seed's hard error.
-                if self.health is None:
-                    raise
-                router.mark_down(replica)
-                self.stats.failovers += 1
-                if hub is not None:
-                    hub.on_failover(shard, replica, float(now), batch_span)
-                if BUS.active:
-                    BUS.emit(FailoverEvent(shard=shard, replica=replica))
-                self.health.on_corruption(shard, replica, float(now))
-                candidates = router.assign(1)
-                replica = int(candidates[0])
-                continue
-            break
-        probes = dictionary.table.counter.total_probes() - before
-        router.record(replica, probes)
-        self.stats.probes += probes
-        busy = self._busy_until[shard]
-        start = max(float(now), float(busy[replica]))
-        finish = start + probes * self.probe_time
-        busy[replica] = finish
-        if hub is not None:
-            hub.on_dispatch(shard, replica, probes, start, finish, batch_span)
-        if BUS.active:
-            BUS.emit(DispatchEvent(
-                shard=shard, replica=replica, probes=probes,
-                start=start, finish=finish,
-            ))
+        answers, finish = result
         if self.health is not None:
             self.health.note_dispatch(shard, replica, float(now))
             answers = self._verify_group(
                 shard, dictionary, router, xs, sel, replica, answers,
                 now, batch_span,
             )
-        for pos, i in enumerate(sel):
-            tickets[i].answer = bool(answers[pos])
-            tickets[i].completion = finish
-            tickets[i].replica = replica
+        self._stamp(tickets, sel, answers, finish, replica)
 
     def _query_group_on(
         self, shard, dictionary, router, keys, replica, now, batch_span,
-    ) -> np.ndarray:
-        """One charged verification dispatch of ``keys`` to ``replica``."""
-        hub = self.telemetry
+    ) -> tuple[np.ndarray, float] | None:
+        """One charged dispatch of ``keys`` to ``replica``.
+
+        Returns ``(answers, finish)``, or None once a failing replica
+        has been quarantined and the caller should pick another.
+        """
         before = dictionary.table.counter.total_probes()
-        answers = dictionary.query_batch_on(keys, replica, self._rng)
+        try:
+            answers = dictionary.query_batch_on(keys, replica, self._rng)
+        except ReplicaUnavailableError:
+            # PR 2 composition: the crash marks the replica down,
+            # the router reweights, and the batch retries on a
+            # survivor.  No healthy replica left raises
+            # FaultExhaustedError out of the service.
+            self._quarantine(
+                shard, router, replica, now, batch_span, crashed=True,
+            )
+            return None
+        except _REPLICA_FAILURES:
+            # Detectable corruption drove the query algorithm into
+            # an impossible state.  With healing on, quarantine the
+            # replica and retry elsewhere (the probes it already
+            # charged stay charged — honest accounting); without
+            # it, this stays the seed's hard error.
+            if self.health is None:
+                raise
+            self._quarantine(
+                shard, router, replica, now, batch_span, crashed=False,
+            )
+            return None
         probes = dictionary.table.counter.total_probes() - before
-        router.record(replica, probes)
-        self.stats.probes += probes
-        busy = self._busy_until[shard]
-        start = max(float(now), float(busy[replica]))
-        finish = start + probes * self.probe_time
-        busy[replica] = finish
-        if hub is not None:
-            hub.on_dispatch(shard, replica, probes, start, finish, batch_span)
-        if BUS.active:
-            BUS.emit(DispatchEvent(
-                shard=shard, replica=replica, probes=probes,
-                start=start, finish=finish,
-            ))
-        return answers
+        return answers, self._charge(shard, replica, probes, now, batch_span)
 
     def _quarantine(
         self, shard, router, replica, now, batch_span, crashed: bool,
@@ -483,6 +557,8 @@ class ShardedDictionaryService:
             hub.on_failover(shard, replica, float(now), batch_span)
         if BUS.active:
             BUS.emit(FailoverEvent(shard=shard, replica=replica))
+        if self.health is None:
+            return
         if crashed:
             self.health.on_crash(shard, replica, float(now))
         else:
@@ -518,44 +594,28 @@ class ShardedDictionaryService:
         if witness is None:
             return answers
         keys = xs[sel]
-        try:
-            echoed = self._query_group_on(
-                shard, dictionary, router, keys, witness, now, batch_span,
-            )
-        except ReplicaUnavailableError:
-            self._quarantine(
-                shard, router, witness, now, batch_span, crashed=True,
-            )
+        echoed = self._query_group_on(
+            shard, dictionary, router, keys, witness, now, batch_span,
+        )
+        if echoed is None:
             return answers
-        except _REPLICA_FAILURES:
-            self._quarantine(
-                shard, router, witness, now, batch_span, crashed=False,
-            )
-            return answers
-        mismatch = np.nonzero(answers != echoed)[0]
+        mismatch = np.nonzero(answers != echoed[0])[0]
         if mismatch.size == 0:
             return answers
         # Two replicas disagree: poll every other live replica on the
         # contested keys and let the majority decide.
         contested = keys[mismatch]
         votes: dict[int, np.ndarray] = {
-            primary: answers[mismatch], witness: echoed[mismatch],
+            primary: answers[mismatch], witness: echoed[0][mismatch],
         }
         for r in list(router.live):
             if r in votes:
                 continue
-            try:
-                votes[r] = self._query_group_on(
-                    shard, dictionary, router, contested, r, now, batch_span,
-                )
-            except ReplicaUnavailableError:
-                self._quarantine(
-                    shard, router, r, now, batch_span, crashed=True,
-                )
-            except _REPLICA_FAILURES:
-                self._quarantine(
-                    shard, router, r, now, batch_span, crashed=False,
-                )
+            vote = self._query_group_on(
+                shard, dictionary, router, contested, r, now, batch_span,
+            )
+            if vote is not None:
+                votes[r] = vote[0]
         stack = np.stack([votes[r] for r in sorted(votes)])
         if stack.shape[0] >= 3:
             majority = stack.sum(axis=0) * 2 > stack.shape[0]
@@ -583,6 +643,10 @@ class ShardedDictionaryService:
     def cell_load_matrix(self, shard: int = 0) -> np.ndarray:
         """One shard's raw per-step per-cell probe counts (copy)."""
         return self.shards[shard].table.counter.counts_per_step()
+
+    def stats_row(self) -> dict:
+        """The service's lifetime counters as one flat dict."""
+        return self.stats.row()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

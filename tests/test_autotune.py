@@ -23,7 +23,6 @@ from repro.autotune import (
     ReconfigExecutor,
     replay_trace,
     scheme_name,
-    service_capabilities,
 )
 from repro.errors import (
     ActionUnsupportedError,
@@ -204,14 +203,14 @@ class TestCapabilities:
     def test_sharded_service_full_set(self, instance):
         keys, N = instance
         service = small_service(keys, N)
-        assert service_capabilities(service) == CAPS
+        assert ReconfigExecutor(service).capabilities == CAPS
 
     def test_dynamic_service_admission_only(self):
         from repro.serve.dynamic_service import build_dynamic_service
 
         svc = build_dynamic_service(1 << 10, num_shards=1, replicas=2,
                                     seed=1)
-        caps = service_capabilities(svc)
+        caps = ReconfigExecutor(svc).capabilities
         assert caps == frozenset(("capacity", "update-capacity"))
 
     def test_unsupported_action_raises(self):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import (
-    ParameterError,
     QueryError,
     UpdateBacklogError,
 )
@@ -151,22 +150,6 @@ class TestTelemetry:
 
 
 class TestConstruction:
-    def test_boundary_validation(self):
-        shard = build_dynamic_service(UNIVERSE, num_shards=1).shards[0]
-        with pytest.raises(ParameterError):
-            DynamicShardedService([shard], boundaries=[1])
-        with pytest.raises(ParameterError):
-            DynamicShardedService([shard], boundaries=[0, 8])
-        with pytest.raises(ParameterError):
-            DynamicShardedService([], boundaries=[])
-
-    def test_shard_of(self):
-        svc = _service()
-        assert svc.shard_of(0) == 0
-        assert svc.shard_of(UNIVERSE - 1) == 1
-        with pytest.raises(QueryError):
-            svc.shard_of(UNIVERSE)
-
     def test_stats_row_shape(self):
         svc = _service()
         svc.submit_update(3, True, 0.0)
@@ -213,7 +196,3 @@ class TestCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "0 wrong" in out
-
-    def test_serve_dynamic_rejects_procs_and_heal(self):
-        assert main(["serve", "--dynamic", "--procs", "2"]) == 2
-        assert main(["serve", "--dynamic", "--heal"]) == 2

@@ -96,7 +96,7 @@ class TestRoundTrip:
         # the retained suffix as-is (bounded replay on restore), not
         # compact it away.
         svc, _, _ = _saved(tmp_path, n=24, log_retention=500)
-        assert svc.stats_compactions == 0
+        assert svc.stats.compactions == 0
         assert svc.update_log_entries() > 0
         _, report = restore_dynamic_service(tmp_path)
         assert 0 < report["replayed"] <= 500
@@ -201,7 +201,7 @@ class TestCompactionBounds:
             peak = max(peak, svc.update_log_entries())
         svc.drain(now + 4.0)
         assert peak <= 16 + svc.build_config["update_batch"]
-        assert svc.stats_compactions > 0
+        assert svc.stats.compactions > 0
         # Lifetime totals stay visible even though the log compacted.
         assert svc.stats.updates_applied == 200
 
@@ -209,8 +209,8 @@ class TestCompactionBounds:
         svc, _, now = _saved(tmp_path, n=80, log_retention=16)
         row = svc.stats_row()
         assert row["update_log_entries"] == svc.update_log_entries()
-        assert row["compactions"] == svc.stats_compactions > 0
-        assert row["checkpoints"] == svc.stats_checkpoints == 1
+        assert row["compactions"] == svc.stats.compactions > 0
+        assert row["checkpoints"] == svc.stats.checkpoints == 1
 
     def test_store_prunes_beyond_keep(self, tmp_path):
         svc, store, now = _saved(tmp_path)
