@@ -24,12 +24,33 @@ class ProbeCounter:
 
     Step arrays are allocated lazily: most schemes probe a bounded number
     of steps, but the counter does not need to know the bound up front.
+    They are the single source of truth for every count matrix and the
+    digest.  Alongside them the counter keeps one running total of the
+    probes recorded, so :meth:`total_probes` — read around every routed
+    group — costs O(1) instead of a scan of ``steps × cells`` counts.
     """
 
     def __init__(self, num_cells: int):
         self.num_cells = check_positive_integer("num_cells", num_cells)
         self._per_step: list[np.ndarray] = []
+        self._total = 0
         self.executions = 0
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "_total" not in state:
+            # A counter pickled before the running total existed.
+            self._total = int(sum(int(a.sum()) for a in self._per_step))
+
+    def _grow_to(self, step: int) -> None:
+        """Allocate zeroed count rows for every step up to ``step``.
+
+        The one allocation hook: recording and merging reach new steps
+        only through it, so a subclass that keeps its rows elsewhere
+        (shared memory) overrides this method alone.
+        """
+        while len(self._per_step) <= step:
+            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
 
     # -- recording -------------------------------------------------------------
 
@@ -41,9 +62,10 @@ class ProbeCounter:
             raise ParameterError(
                 f"cell {flat_cell} out of range [0, {self.num_cells})"
             )
-        while len(self._per_step) <= step:
-            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
+        if step >= len(self._per_step):
+            self._grow_to(step)
         self._per_step[step][flat_cell] += 1
+        self._total += 1
 
     def record_batch(self, step: int, flat_cells: np.ndarray) -> None:
         """Record one probe per non-negative entry of ``flat_cells``.
@@ -57,13 +79,14 @@ class ProbeCounter:
         """
         if step < 0:
             raise ParameterError("step must be non-negative")
-        flat_cells = np.asarray(flat_cells, dtype=np.int64)
-        active = flat_cells >= 0
-        if np.any(flat_cells[active] >= self.num_cells):
+        cells = np.asarray(flat_cells, dtype=np.int64)
+        cells = cells[cells >= 0]
+        if cells.size and int(cells.max()) >= self.num_cells:
             raise ParameterError("cell index out of range in batch")
-        while len(self._per_step) <= step:
-            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
-        np.add.at(self._per_step[step], flat_cells[active], 1)
+        if step >= len(self._per_step):
+            self._grow_to(step)
+        np.add.at(self._per_step[step], cells, 1)
+        self._total += cells.size
 
     def finish_execution(self, count: int = 1) -> None:
         """Mark ``count`` completed query executions (the normalizer)."""
@@ -92,10 +115,10 @@ class ProbeCounter:
                 f"cannot merge counter over {other.num_cells} cells into "
                 f"one over {self.num_cells}"
             )
-        while len(self._per_step) < len(other._per_step):
-            self._per_step.append(np.zeros(self.num_cells, dtype=np.int64))
+        self._grow_to(len(other._per_step) - 1)
         for step, counts in enumerate(other._per_step):
             self._per_step[step] += counts
+        self._total += other._total
         self.executions += other.executions
         return self
 
@@ -140,8 +163,8 @@ class ProbeCounter:
         return float(per.max(initial=0.0)) if per.size else 0.0
 
     def total_probes(self) -> int:
-        """Total probes recorded across all steps and cells."""
-        return int(sum(int(a.sum()) for a in self._per_step))
+        """Total probes recorded across all steps and cells, in O(1)."""
+        return self._total
 
     def digest(self) -> str:
         """SHA-256 over the exact accounting state (steps, counts, E).
@@ -159,4 +182,5 @@ class ProbeCounter:
     def reset(self) -> None:
         """Clear all counts and the execution counter."""
         self._per_step = []
+        self._total = 0
         self.executions = 0

@@ -114,32 +114,40 @@ class Table:
         probe after a first-table hit).
 
         All executed probes are charged to the counter under step index
-        ``step`` via one :meth:`ProbeCounter.record_batch` call.
+        ``step`` via one :meth:`ProbeCounter.record_batch` call — made even
+        when every entry is skipped, so the step is still allocated.  The
+        batch is one pass over its active entries: select them, check
+        their bounds, compute their flat indices, charge them, gather
+        them.  A scalar ``rows`` stays scalar throughout.
         """
         columns = np.asarray(columns, dtype=np.int64)
-        rows_arr = np.broadcast_to(
-            np.asarray(rows, dtype=np.int64), columns.shape
-        )
+        rows = np.asarray(rows, dtype=np.int64)
         active = columns >= 0
-        if bool(np.any(active)):
-            r_act = rows_arr[active]
-            c_act = columns[active]
-            if r_act.size and (
-                int(r_act.min()) < 0
-                or int(r_act.max()) >= self.rows
-                or int(c_act.max()) >= self.s
-            ):
+        cols = columns[active]
+        if cols.size:
+            if rows.ndim:
+                if rows.shape != columns.shape:
+                    rows = np.broadcast_to(rows, columns.shape)
+                rows = rows[active]
+                bad = int(rows.min()) < 0 or int(rows.max()) >= self.rows
+            else:
+                rows = int(rows)
+                bad = not 0 <= rows < self.rows
+            if bad or int(cols.max()) >= self.s:
                 raise TableError(
                     f"batch probe out of range for table "
                     f"({self.rows} rows x {self.s} cells)"
                 )
-        flat = np.where(active, rows_arr * self.s + columns, -1)
+            flat = rows * self.s + cols
+        else:
+            flat = cols
         self.counter.record_batch(step, flat)
         if BUS.active:
-            BUS.emit(ProbeEvent(step=step, probes=int(np.count_nonzero(active))))
+            BUS.emit(ProbeEvent(step=step, probes=int(cols.size)))
+        if cols.size == columns.size:
+            return self._cells.take(flat).reshape(columns.shape)
         out = np.full(columns.shape, EMPTY_CELL, dtype=np.uint64)
-        if bool(np.any(active)):
-            out[active] = self._cells[rows_arr[active], columns[active]]
+        out[active] = self._cells.take(flat)
         return out
 
     # -- misc ------------------------------------------------------------------

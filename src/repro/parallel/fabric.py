@@ -439,7 +439,9 @@ class ParallelDictionaryService(ShardedDictionaryService):
     #: Replica state lives in worker-held shared memory, so the fabric
     #: offers admission tuning only; crashed workers recover by
     #: failover and :meth:`WorkerPool.respawn` instead of healing.
-    capabilities = frozenset(("capacity",))
+    #: ``fabric-faults``: chaos replays apply worker kills and segment
+    #: corruption through :meth:`apply_fabric_event`.
+    capabilities = frozenset(("capacity", "fabric-faults"))
 
     def __init__(
         self,

@@ -153,11 +153,11 @@ def serve(spec: dict) -> int:
             )
             keys = payload[5:5 + nkeys].astype(np.int64)
             counter = counters[shard]
-            before = counter.probes_charged
+            before = counter.total_probes()
             answers = dicts[shard].query_batch_on(
                 keys, replica, np.random.default_rng(seed)
             )
-            probes = counter.probes_charged - before
+            probes = counter.total_probes() - before
             head = np.array([group_id, nkeys, probes], dtype=np.uint64)
             _enqueue_blocking(
                 resp, FRAME_RESPONSE,

@@ -253,7 +253,8 @@ def _apply_event(
     """Inject one fault; returns ``"spike"``/``"applied"``/``"skipped"``.
 
     Fabric-level kinds (:data:`FABRIC_KINDS`) route through the
-    service's ``apply_fabric_event`` hook when it has one (the
+    service's ``apply_fabric_event`` hook when it declares the
+    ``fabric-faults`` capability (the
     :class:`~repro.parallel.fabric.ParallelDictionaryService` engine);
     an in-process service replaying the same schedule reports them as
     skipped instead of failing, so one genome replays everywhere.
@@ -261,10 +262,9 @@ def _apply_event(
     if event.kind in ("spike-start", "spike-end"):
         return "spike"
     if event.kind in FABRIC_KINDS:
-        apply_fabric = getattr(service, "apply_fabric_event", None)
-        if apply_fabric is None:
+        if "fabric-faults" not in service.capabilities:
             return "skipped"
-        return "applied" if apply_fabric(event) else "skipped"
+        return "applied" if service.apply_fabric_event(event) else "skipped"
     d = service.shards[event.shard]
     if event.kind == "crash":
         d.crash_replica(event.replica)

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.dynamic.epoch import EpochPin
 from repro.dynamic.replicated import ReplicatedDynamicDictionary
-from repro.errors import UpdateBacklogError
+from repro.errors import TelemetryError, UpdateBacklogError
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.service import ShardedDictionaryService
 from repro.telemetry.events import BUS, UpdateEvent
@@ -160,6 +160,21 @@ class DynamicShardedService(ShardedDictionaryService):
         }
         if isinstance(seed, (int, np.integer)):
             self.build_config["seed"] = int(seed)
+
+    def attach_telemetry(self, hub) -> None:
+        """Attach a :class:`~repro.telemetry.hub.TelemetryHub` (or None).
+
+        Refuses a hub carrying a contention monitor with
+        :class:`~repro.errors.TelemetryError`: a dynamic shard's probes
+        land on the tables of its levels, which come and go with every
+        carry, so there is no single Φ matrix to compare against.
+        """
+        if hub is not None and hub.contention is not None:
+            raise TelemetryError(
+                f"{type(self).__name__} cannot run a contention monitor: "
+                "its levels have no single per-cell load matrix"
+            )
+        super().attach_telemetry(hub)
 
     def attach_checkpoints(self, store, every: float | None = None) -> None:
         """Attach a :class:`~repro.persist.CheckpointStore` (or None).

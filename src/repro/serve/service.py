@@ -159,8 +159,9 @@ class ShardedDictionaryService:
     #: What this deployment supports beyond serving reads: the action
     #: kinds the autotune :class:`~repro.autotune.reconfig.
     #: ReconfigExecutor` may apply (``capacity``, ``update-capacity``,
-    #: ``split``, ``join``, ``scheme-switch``) and ``heal`` for
-    #: :meth:`enable_healing`.
+    #: ``split``, ``join``, ``scheme-switch``), ``heal`` for
+    #: :meth:`enable_healing`, and ``fabric-faults`` for chaos events
+    #: aimed at worker processes and shared segments.
     capabilities = frozenset(
         ("capacity", "split", "join", "scheme-switch", "heal")
     )

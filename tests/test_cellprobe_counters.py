@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cellprobe import ProbeCounter
 from repro.errors import ParameterError
+from repro.parallel.shm import (
+    ShmProbeCounter,
+    create_counter_segment,
+    destroy_segment,
+    read_counter,
+    segment_name,
+)
 
 
 def test_record_and_totals():
@@ -135,3 +143,84 @@ def test_invalid_arguments():
         c.finish_execution(0)
     with pytest.raises(ParameterError):
         ProbeCounter(0)
+
+
+# -- running total: property tests ---------------------------------------------
+
+CELLS = 6
+MAX_STEPS = 5
+
+_steps = st.integers(0, MAX_STEPS - 1)
+_batch = st.lists(st.integers(-3, CELLS - 1), max_size=8)
+_op = st.one_of(
+    st.tuples(st.just("record"), _steps, st.integers(0, CELLS - 1)),
+    st.tuples(st.just("batch"), _steps, _batch),
+    st.tuples(st.just("batch"), _steps, st.lists(st.integers(-5, -1),
+                                                 min_size=1, max_size=4)),
+    st.tuples(st.just("merge"), st.lists(st.tuples(_steps, _batch),
+                                         max_size=3)),
+    st.tuples(st.just("finish"), st.integers(1, 3)),
+    st.tuples(st.just("reset"),),
+)
+
+
+def _apply(counter, op) -> None:
+    kind = op[0]
+    if kind == "record":
+        counter.record(op[1], op[2])
+    elif kind == "batch":
+        counter.record_batch(op[1], np.array(op[2], dtype=np.int64))
+    elif kind == "merge":
+        other = ProbeCounter(CELLS)
+        for step, cells in op[1]:
+            other.record_batch(step, np.array(cells, dtype=np.int64))
+        other.finish_execution()
+        counter.merge(other)
+    elif kind == "finish":
+        counter.finish_execution(op[1])
+    else:
+        counter.reset()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_op, max_size=12))
+def test_running_total_tracks_the_count_matrix(ops):
+    # The O(1) total is derived from the per-step rows, never instead of
+    # them: after every operation it equals the matrix sum, and the
+    # plain, shared-memory and read-back counters digest identically.
+    plain = ProbeCounter(CELLS)
+    seg = create_counter_segment(
+        segment_name("repro-test", "prop"), MAX_STEPS, CELLS
+    )
+    try:
+        shm = ShmProbeCounter(seg)
+        for op in ops:
+            _apply(plain, op)
+            _apply(shm, op)
+            copy = read_counter(seg)
+            for c in (plain, shm, copy):
+                assert c.total_probes() == int(c.counts_per_step().sum())
+            assert shm.digest() == plain.digest() == copy.digest()
+            assert shm.total_probes() == plain.total_probes()
+            assert copy.total_probes() == plain.total_probes()
+        # A fresh attach resumes the exact state, total included.
+        resumed = ShmProbeCounter(seg)
+        assert resumed.total_probes() == plain.total_probes()
+        assert resumed.digest() == plain.digest()
+    finally:
+        destroy_segment(seg)
+
+
+def test_running_total_survives_pickling():
+    import pickle
+
+    c = ProbeCounter(4)
+    c.record_batch(1, np.array([0, 3, 3, -1]))
+    back = pickle.loads(pickle.dumps(c))
+    assert back.total_probes() == 3 and back.digest() == c.digest()
+    # A counter pickled before the running total existed.
+    state = dict(c.__dict__)
+    del state["_total"]
+    old = ProbeCounter.__new__(ProbeCounter)
+    old.__setstate__(state)
+    assert old.total_probes() == 3

@@ -88,3 +88,112 @@ def test_reads_charge_correct_step_and_cell():
     assert counts[0, t.flat_index(0, 1)] == 1
     assert counts[1, t.flat_index(1, 2)] == 2
     assert counts.sum() == 3
+
+
+# -- read_batch contract ---------------------------------------------------------
+
+
+def _filled(rows=3, s=5):
+    t = Table(rows=rows, s=s)
+    for r in range(rows):
+        t.write_row(r, np.arange(s, dtype=np.uint64) + 100 * r)
+    return t
+
+
+def test_read_batch_scalar_row_matches_row_array():
+    scalar, per_entry = _filled(), _filled()
+    cols = np.array([4, -1, 0, 4, 2, -3], dtype=np.int64)
+    a = scalar.read_batch(1, cols, step=2)
+    b = per_entry.read_batch(np.full(cols.shape, 1), cols, step=2)
+    assert a.tolist() == b.tolist()
+    assert a.tolist() == [104, EMPTY_CELL, 100, 104, 102, EMPTY_CELL]
+    assert scalar.counter.digest() == per_entry.counter.digest()
+    assert scalar.counter.total_probes() == 4
+
+
+def test_read_batch_per_entry_rows():
+    t = _filled()
+    out = t.read_batch(np.array([0, 2, 1]), np.array([3, 0, -1]), step=0)
+    assert out.tolist() == [3, 200, EMPTY_CELL]
+    counts = t.counter.counts_per_step()
+    assert counts.shape == (1, 15)
+    assert counts[0, t.flat_index(0, 3)] == 1
+    assert counts[0, t.flat_index(2, 0)] == 1
+    assert t.counter.total_probes() == 2
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        (-1, [0, 1]),                 # negative scalar row
+        (3, [0, 1]),                  # scalar row == rows
+        ([0, -2], [1, 1]),            # negative row in an array
+        ([0, 3], [1, 1]),             # row >= rows in an array
+        (0, [1, 5]),                  # column == s
+        ([1, 2], [9, 0]),             # column > s
+    ],
+)
+def test_read_batch_out_of_range_active_entry_raises(rows, cols):
+    t = _filled()
+    with pytest.raises(TableError):
+        t.read_batch(rows, np.array(cols), step=1)
+    # The failed batch charged nothing and allocated no step.
+    assert t.counter.total_probes() == 0
+    assert t.counter.num_steps == 0
+
+
+def test_read_batch_bounds_ignore_skipped_entries():
+    t = _filled()
+    # Out-of-range rows sit only on skipped (column < 0) entries.
+    out = t.read_batch(np.array([7, 1, -4]), np.array([-1, 2, -1]), step=0)
+    assert out.tolist() == [EMPTY_CELL, 102, EMPTY_CELL]
+    out = t.read_batch(99, np.array([-1, -1]), step=0)
+    assert out.tolist() == [EMPTY_CELL, EMPTY_CELL]
+    assert t.counter.total_probes() == 1
+
+
+def test_read_batch_all_skipped_allocates_step():
+    t = _filled()
+    out = t.read_batch(0, np.array([-1, -5, -1]), step=3)
+    assert out.tolist() == [EMPTY_CELL] * 3
+    assert out.dtype == np.uint64
+    assert t.counter.num_steps == 4
+    assert t.counter.total_probes() == 0
+    assert not t.counter.counts_per_step().any()
+
+
+def test_read_batch_probe_event_counts_active_entries():
+    from repro.telemetry.events import BUS, ProbeEvent
+
+    t = _filled()
+    seen = []
+    BUS.subscribe(seen.append)
+    try:
+        t.read_batch(2, np.array([0, -1, 4, -1, 1]), step=1)
+        t.read_batch(0, np.array([-1]), step=2)
+    finally:
+        BUS.unsubscribe(seen.append)
+    probes = [(e.step, e.probes) for e in seen if isinstance(e, ProbeEvent)]
+    assert probes == [(1, 3), (2, 0)]
+
+
+def test_faulty_table_read_batch_charges_like_the_bare_table():
+    from repro.faults import FaultConfig, FaultInjector, FaultyTable
+
+    bare, wrapped = _filled(), _filled()
+    inj = FaultInjector(
+        FaultConfig(stuck_rate=0.3, flip_rate=0.5, seed=11), 3, 5
+    )
+    faulty = FaultyTable(wrapped, inj)
+    batches = [
+        (1, np.array([0, 4, -1, 4])),
+        (np.array([0, 2, 1]), np.array([-1, 3, 3])),
+        (2, np.array([-1, -1])),
+    ]
+    for step, (rows, cols) in enumerate(batches):
+        clean = bare.read_batch(rows, cols, step)
+        noisy = faulty.read_batch(rows, cols, step)
+        assert np.all(noisy[cols < 0] == EMPTY_CELL)
+        assert clean.shape == noisy.shape
+    assert wrapped.counter.digest() == bare.counter.digest()
+    assert wrapped.counter.total_probes() == 5

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.autotune import Decision, ReconfigExecutor
-from repro.errors import ActionUnsupportedError, ParameterError, QueryError
+from repro.errors import (
+    ActionUnsupportedError,
+    ParameterError,
+    QueryError,
+    TelemetryError,
+)
 from repro.experiments.common import make_instance
 from repro.parallel import ParallelDictionaryService, build_parallel_service
 from repro.serve import (
@@ -22,7 +27,8 @@ from repro.serve import (
     build_dynamic_service,
     build_service,
 )
-from repro.telemetry import TelemetryHub
+from repro.serve.chaos import ChaosEvent, _apply_event
+from repro.telemetry import ContentionMonitor, TelemetryHub
 
 DEPLOYMENTS = ("static", "dynamic", "fabric")
 ACTIONS = ("capacity", "update-capacity", "split", "join", "scheme-switch")
@@ -130,7 +136,7 @@ def _check_capabilities(svc, expected):
     """``capabilities`` is exactly what the executor and healing enforce."""
     assert type(svc).capabilities == expected
     executor = ReconfigExecutor(svc, seed=0)
-    assert executor.capabilities == expected - {"heal"}
+    assert executor.capabilities == expected & frozenset(ACTIONS)
     for kind in ACTIONS:
         if kind in expected:
             continue
@@ -174,8 +180,44 @@ def test_dynamic_capabilities(instance):
 def test_fabric_capabilities(instance):
     keys, N = instance
     _check_capabilities(
-        _build("fabric", keys, N), frozenset(("capacity",)),
+        _build("fabric", keys, N), frozenset(("capacity", "fabric-faults")),
     )
+
+
+@pytest.mark.parametrize("kind", ("kill-worker", "corrupt-segment"))
+def test_fabric_events_follow_the_declared_capability(kind, instance):
+    # Only a deployment declaring ``fabric-faults`` receives fabric
+    # events; an in-process replay of the same schedule skips them.
+    keys, N = instance
+    event = ChaosEvent(time=0.0, kind=kind, cells=(0,), masks=(1,))
+    static = _build("static", keys, N)
+    assert "fabric-faults" not in static.capabilities
+    assert _apply_event(static, event) == "skipped"
+    fabric = _build("fabric", keys, N)
+    calls = []
+    fabric.apply_fabric_event = lambda ev: calls.append(ev) or True
+    assert _apply_event(fabric, event) == "applied"
+    assert calls == [event]
+
+
+def test_dynamic_service_refuses_contention_monitor():
+    # A ContentionMonitor reads one Φ matrix per shard; a dynamic shard
+    # spreads its probes over level tables, so attaching is refused
+    # instead of crashing the first checked read batch.
+    svc = build_dynamic_service(1 << 10, num_shards=1, max_batch=1)
+    phi = np.full((1, 4), 0.25)
+    hub = TelemetryHub(contention=ContentionMonitor(phi), check_every=1)
+    with pytest.raises(TelemetryError):
+        svc.attach_telemetry(hub)
+    assert svc.telemetry is None
+    ticket = svc.submit(5, 0.0)
+    svc.drain(1.0)
+    assert ticket.done and ticket.answer is False
+    # A hub without a contention monitor still attaches.
+    svc.attach_telemetry(TelemetryHub(metrics=True))
+    svc.submit(5, 2.0)
+    svc.drain(3.0)
+    assert svc.telemetry.metrics.counter("serve_completed").value == 1
 
 
 def test_dynamic_autotune_observes_no_backlog(instance):
