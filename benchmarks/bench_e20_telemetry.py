@@ -7,8 +7,10 @@ Two entry points:
   the machine-readable ``BENCH_PR4.json`` at the repo root (the PR-4
   acceptance artifact):
 
-  * **seed** — ``Table.read``/``read_batch`` monkeypatched with copies
-    of their pre-instrumentation bodies (no ``BUS.active`` test at all);
+  * **seed** — ``Table.read``/``read_batch``/``read_round``
+    monkeypatched with copies of their bodies without the ``BUS.active``
+    test (pre-instrumentation copies for the first two; the batched
+    query reads through ``read_round``);
   * **disabled** — the instrumented code as shipped, bus inactive (the
     default state of every run);
   * **enabled** — a :class:`~repro.telemetry.hub.BusMetricsCollector`
@@ -80,6 +82,55 @@ def _seed_read_batch(self, rows, columns, step):
     return out
 
 
+def _seed_read_round(self, rows, columns, step):
+    # Copy of Table.read_round without its BUS guard: the batched query
+    # reads through this primitive, so the seed baseline must swap it too.
+    rows = np.asarray(rows, dtype=np.int64)
+    columns = np.asarray(columns, dtype=np.int64)
+    if rows.ndim != 1 or columns.ndim != 2 or len(columns) != len(rows):
+        raise TableError(
+            f"round needs rows (k,) and columns (k, batch), got "
+            f"{rows.shape} and {columns.shape}"
+        )
+    row_list = rows.tolist()
+    rows_ok = not row_list or (
+        min(row_list) >= 0 and max(row_list) < self.rows
+    )
+    flat = columns + (rows * self.s)[:, None]
+    everything = (
+        not columns.size or int(columns.view(np.uint64).max()) < self.s
+    )
+    if everything:
+        if not rows_ok and columns.size:
+            raise self._round_error()
+    else:
+        active = columns >= 0
+        if int(columns.max()) >= self.s:
+            raise self._round_error()
+        if not rows_ok:
+            live = active.any(axis=1).tolist()
+            if any(
+                on and not 0 <= r < self.rows
+                for r, on in zip(row_list, live)
+            ):
+                raise self._round_error()
+        flat = np.where(active, flat, -1)
+    self.counter.record_round(step, flat)
+    if everything:
+        return self._cells.take(flat)
+    out = self._cells.take(flat, mode="clip")
+    out[~active] = EMPTY_CELL
+    return out
+
+
+#: The charged read primitives and their seed (unguarded) copies.
+_SEED = {
+    "read": _seed_read,
+    "read_batch": _seed_read_batch,
+    "read_round": _seed_read_round,
+}
+
+
 def _build(n=1024, seed=0):
     from repro.core import LowContentionDictionary
 
@@ -106,12 +157,14 @@ def _time_queries(d, xs) -> float:
 def measure(seed: int = 0) -> dict:
     d, xs = _build(seed=seed)
 
-    patched_read, patched_batch = Table.read, Table.read_batch
-    Table.read, Table.read_batch = _seed_read, _seed_read_batch
+    shipped = {name: getattr(Table, name) for name in _SEED}
+    for name, seed_copy in _SEED.items():
+        setattr(Table, name, seed_copy)
     try:
         t_seed = _time_queries(d, xs)
     finally:
-        Table.read, Table.read_batch = patched_read, patched_batch
+        for name, method in shipped.items():
+            setattr(Table, name, method)
 
     t_disabled = _time_queries(d, xs)
     with collect_bus_metrics():

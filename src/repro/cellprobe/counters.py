@@ -88,6 +88,45 @@ class ProbeCounter:
         np.add.at(self._per_step[step], cells, 1)
         self._total += cells.size
 
+    def record_round(self, step: int, flat_cells: np.ndarray) -> None:
+        """Record one adaptive round: row ``i`` is charged at ``step + i``.
+
+        ``flat_cells`` has shape ``(k, batch)``; every row is counted
+        exactly as :meth:`record_batch` would count it at its own step —
+        negative entries skipped, and every one of the k steps allocated
+        even when its row is all skipped — but the round is validated,
+        allocated and totalled once.  New steps are reached only through
+        :meth:`_grow_to`, so shared-memory counters need no override.
+        """
+        if step < 0:
+            raise ParameterError("step must be non-negative")
+        cells = np.asarray(flat_cells, dtype=np.int64)
+        if cells.ndim != 2:
+            raise ParameterError(
+                f"a round is 2-D (steps, batch), got {cells.ndim}-D"
+            )
+        # As unsigned words, every cell is in range exactly when none is
+        # skipped and none is too large: one reduction for the common case.
+        everything = (
+            not cells.size
+            or int(cells.view(np.uint64).max()) < self.num_cells
+        )
+        if not everything and int(cells.max()) >= self.num_cells:
+            raise ParameterError("cell index out of range in round")
+        last = step + len(cells) - 1
+        if last >= len(self._per_step):
+            self._grow_to(last)
+        per_step = self._per_step
+        if everything:
+            for i, row in enumerate(cells):
+                np.add.at(per_step[step + i], row, 1)
+            self._total += cells.size
+        else:
+            active = cells >= 0
+            for i, row in enumerate(cells):
+                np.add.at(per_step[step + i], row[active[i]], 1)
+            self._total += int(np.count_nonzero(active))
+
     def finish_execution(self, count: int = 1) -> None:
         """Mark ``count`` completed query executions (the normalizer)."""
         if count < 1:

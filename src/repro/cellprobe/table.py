@@ -150,6 +150,74 @@ class Table:
         out[active] = self._cells.take(flat)
         return out
 
+    def read_round(
+        self, rows: np.ndarray, columns: np.ndarray, step: int
+    ) -> np.ndarray:
+        """Probe one adaptive round: k rows, each at its own query step.
+
+        ``rows`` has shape ``(k,)`` and ``columns`` shape ``(k, batch)``;
+        row ``rows[i]`` is probed at ``columns[i]`` and charged under
+        step ``step + i``.  The result equals k :meth:`read_batch` calls
+        — same values, same skip rule (``column < 0`` charges nothing
+        and reads :data:`EMPTY_CELL`), same per-step counts and probe
+        events — but the round is one bounds check over its active
+        entries, one flat index, one :meth:`ProbeCounter.record_round`
+        and one ``take``.  A bad row or column among the active entries
+        raises :class:`TableError` before anything is charged.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        columns = np.asarray(columns, dtype=np.int64)
+        if rows.ndim != 1 or columns.ndim != 2 or len(columns) != len(rows):
+            raise TableError(
+                f"round needs rows (k,) and columns (k, batch), got "
+                f"{rows.shape} and {columns.shape}"
+            )
+        row_list = rows.tolist()
+        rows_ok = not row_list or (
+            min(row_list) >= 0 and max(row_list) < self.rows
+        )
+        flat = columns + (rows * self.s)[:, None]
+        # Read as unsigned words, every column is below s exactly when
+        # none is skipped and none is out of range: one reduction
+        # settles the common round.
+        everything = (
+            not columns.size or int(columns.view(np.uint64).max()) < self.s
+        )
+        if everything:
+            if not rows_ok and columns.size:
+                raise self._round_error()
+        else:
+            active = columns >= 0
+            if int(columns.max()) >= self.s:
+                raise self._round_error()
+            if not rows_ok:
+                live = active.any(axis=1).tolist()
+                if any(
+                    on and not 0 <= r < self.rows
+                    for r, on in zip(row_list, live)
+                ):
+                    raise self._round_error()
+            flat = np.where(active, flat, -1)
+        self.counter.record_round(step, flat)
+        if BUS.active:
+            probes = (
+                [columns.shape[1]] * len(row_list) if everything
+                else np.count_nonzero(active, axis=1).tolist()
+            )
+            for i, count in enumerate(probes):
+                BUS.emit(ProbeEvent(step=step + i, probes=count))
+        if everything:
+            return self._cells.take(flat)
+        out = self._cells.take(flat, mode="clip")
+        out[~active] = EMPTY_CELL
+        return out
+
+    def _round_error(self) -> TableError:
+        return TableError(
+            f"round probe out of range for table "
+            f"({self.rows} rows x {self.s} cells)"
+        )
+
     # -- misc ------------------------------------------------------------------
 
     def flat_index(self, row: int, column: int) -> int:

@@ -126,76 +126,95 @@ class LowContentionDictionary(StaticDictionary):
         return table.read(p.data_row, probe, 2 * d + 3 + p.rho) == x
 
     def query_batch(self, xs: np.ndarray, rng=None) -> np.ndarray:
-        """Vectorized honest query: same four phases, whole batch at once."""
+        """Vectorized honest query: the four phases as five adaptive rounds.
+
+        Each round is one :meth:`~repro.cellprobe.table.Table.read_round`
+        (rows are probed at the step equal to their row index) with one
+        RNG draw for all its columns:
+
+        1. the 2d coefficient rows;
+        2. z[g(x)];
+        3. GBAS and the rho histogram words;
+        4. the perfect-hash word (skipped for empty buckets);
+        5. the data word (skipped for empty buckets).
+
+        A ``(k, batch)`` draw yields the same values and generator state
+        as k draws of ``batch``, so the answers, the probe accounting and
+        the RNG stream equal those of one read per row.
+        """
         xs = self.check_keys_batch(xs)
         rng = as_generator(rng)
         batch = xs.shape[0]
         p = self.params
         table = self.table
         d = p.degree
+        rows = np.arange(p.num_rows, dtype=np.int64)
 
-        # Phase 1: recover f, g from random cells of the coefficient rows.
-        words = [
-            table.read_batch(i, rng.integers(0, p.s, size=batch), i)
-            for i in range(2 * d)
-        ]
-        fx = horner_eval_batch(words[:d], xs, self.prime, p.s)
-        gx = horner_eval_batch(words[d:], xs, self.prime, p.r)
+        # Round 1: one random cell of each coefficient row; f and g are
+        # evaluated together in one stacked Horner pass.
+        words = table.read_round(
+            rows[: 2 * d], rng.integers(0, p.s, size=(2 * d, batch)), 0
+        )
+        fx, gx = horner_eval_batch(
+            words.reshape(2, d, batch).swapaxes(0, 1),
+            xs,
+            self.prime,
+            np.array([[p.s], [p.r]]),
+        )
+
+        # Round 2: one random replica of z[g(x)].
         z_copies = (p.s - gx + p.r - 1) // p.r
         k = np.minimum(
             (rng.random(batch) * z_copies).astype(np.int64), z_copies - 1
         )
-        z_val = table.read_batch(p.z_row, gx + k * p.r, 2 * d).astype(np.int64)
-        hx = (fx + z_val) % p.s
-        group = hx % p.m
-        member = hx // p.m
+        z_val = table.read_round(
+            rows[p.z_row : p.z_row + 1], (gx + k * p.r)[None], p.z_row
+        )[0].astype(np.int64)
+        member, group = np.divmod((fx + z_val) % p.s, p.m)
 
-        # Phase 2: GBAS and the group histogram.
-        k = rng.integers(0, p.group_size, size=batch)
-        gbas = table.read_batch(
-            p.gbas_row, group + k * p.m, 2 * d + 1
-        ).astype(np.int64)
-        hist_words = np.stack(
-            [
-                table.read_batch(
-                    row,
-                    group + rng.integers(0, p.group_size, size=batch) * p.m,
-                    2 * d + 2 + i,
-                )
-                for i, row in enumerate(p.histogram_rows)
-            ],
-            axis=1,
+        # Round 3: GBAS and the group histogram, one random replica each.
+        k = rng.integers(0, p.group_size, size=(1 + p.rho, batch))
+        meta = table.read_round(
+            rows[p.gbas_row : p.phf_row], group + k * p.m, p.gbas_row
         )
+        gbas = meta[0].astype(np.int64)
         member_loads = decode_unary_histogram_batch(
-            hist_words, p.group_size, p.word_bits
+            meta[1:].T, p.group_size, p.word_bits
         )
 
-        # Phase 3: locate the bucket's span.
+        # Locate the bucket's span.  Keys of empty buckets answer False
+        # and take no part in the last two rounds.
         rows_idx = np.arange(batch)
         load = member_loads[rows_idx, member]
-        nonempty = load > 0
         sq = member_loads * member_loads
         span_start = gbas + np.cumsum(sq, axis=1)[rows_idx, member] - sq[
             rows_idx, member
         ]
-        span_len = load * load
+        unit = rng.random(batch)
+        live = np.flatnonzero(load)
+        start = span_start[live]
+        span_len = load[live] * load[live]
 
-        # Phase 4: perfect hash and the final comparison.
-        sl = np.maximum(span_len, 1)
-        j = np.minimum((rng.random(batch) * sl).astype(np.int64), sl - 1)
-        phf_word = table.read_batch(
-            p.phf_row,
-            np.where(nonempty, span_start + j, -1),
-            2 * d + 2 + p.rho,
+        # Round 4: the perfect-hash word at a random cell of the span.
+        j = np.minimum(
+            (unit[live] * span_len).astype(np.int64), span_len - 1
         )
+        phf_word = table.read_round(
+            rows[p.phf_row : p.phf_row + 1], (start + j)[None], p.phf_row
+        )[0]
+
+        # Round 5: the data word, and the final comparison.
         a, c = unpack_pair_batch(phf_word)
         pf = np.uint64(self.prime)
-        v = (a * (xs.astype(np.uint64) % pf) + c) % pf
-        probe = span_start + (v % sl.astype(np.uint64)).astype(np.int64)
-        data = table.read_batch(
-            p.data_row, np.where(nonempty, probe, -1), 2 * d + 3 + p.rho
-        )
-        return nonempty & (data == xs.astype(np.uint64))
+        x = xs[live].astype(np.uint64)
+        v = (a * (x % pf) + c) % pf
+        probe = start + (v % span_len.astype(np.uint64)).astype(np.int64)
+        data = table.read_round(
+            rows[p.data_row :], probe[None], p.data_row
+        )[0]
+        found = np.zeros(batch, dtype=bool)
+        found[live] = data == x
+        return found
 
     # -- analytic probe plans ---------------------------------------------------------
 

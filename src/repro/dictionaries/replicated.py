@@ -72,6 +72,10 @@ class _ReplicaView:
         rows = np.asarray(rows, dtype=np.int64) + self._offset
         return self._outer.read_batch(rows, columns, step)
 
+    def read_round(self, rows, columns, step: int):
+        rows = np.asarray(rows, dtype=np.int64) + self._offset
+        return self._outer.read_round(rows, columns, step)
+
     def peek(self, row: int, column: int) -> int:
         return self._outer.peek(self._offset + row, column)
 

@@ -18,7 +18,7 @@ This module makes unreliability *injectable, seeded, and accounted*:
   randomness — and therefore its probe sequence and the exact
   contention bookkeeping — is untouched by fault injection.
 - :class:`FaultyTable` — a :class:`~repro.cellprobe.table.Table` facade
-  that corrupts values on the way *out* of ``read``/``read_batch``.
+  that corrupts values on the way *out* of ``read``/``read_batch``/``read_round``.
   Every probe is still charged to the real counter at the real cell:
   faults change what a query *sees*, never what it *cost*.
 - :class:`FaultStats` — mutable counters for the fault-tolerant query
@@ -465,6 +465,19 @@ class FaultyTable:
             if changed:
                 BUS.emit(FaultEvent(kind="read_batch", count=changed))
         return corrupted
+
+    def read_round(self, rows, columns, step: int) -> np.ndarray:
+        """Charged round of reads, corrupted row by row.
+
+        One :meth:`read_batch` per row, in row order, so the injector's
+        flip stream — and so every corrupted value — is exactly that of
+        k separate per-row reads.
+        """
+        columns = np.asarray(columns, dtype=np.int64)
+        return np.stack([
+            self.read_batch(row, cols, step + i)
+            for i, (row, cols) in enumerate(zip(np.asarray(rows), columns))
+        ])
 
     # -- free accesses (construction/analysis) --------------------------------------
 

@@ -94,14 +94,17 @@ def horner_eval_batch(
     lie in ``[0, prime)``; with ``prime < 2**31`` the uint64 Horner
     intermediates cannot overflow.  Returns int64 values in
     ``[0, range_size)``.
+
+    Several polynomials of the same degree evaluate in one pass: give
+    each ``word_arrays[i]`` shape ``(polys, batch)`` and ``range_size``
+    shape ``(polys, 1)``; row ``j`` of the result is polynomial ``j``.
     """
-    xs = np.asarray(xs, dtype=np.uint64)
     p = np.uint64(prime)
-    x = xs % p
-    acc = np.zeros(x.shape, dtype=np.uint64)
-    for words in reversed(word_arrays):
+    x = np.asarray(xs, dtype=np.uint64) % p
+    acc = np.asarray(word_arrays[-1], dtype=np.uint64) % p
+    for words in reversed(word_arrays[:-1]):
         acc = (acc * x + np.asarray(words, dtype=np.uint64) % p) % p
-    return (acc % np.uint64(range_size)).astype(np.int64)
+    return (acc % np.asarray(range_size, dtype=np.uint64)).astype(np.int64)
 
 
 class PolynomialFamily(HashFamily):

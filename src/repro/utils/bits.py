@@ -121,7 +121,7 @@ def decode_unary_histogram_batch(
         raw = np.ascontiguousarray(words.astype("<u8")).view(np.uint8)
         raw = raw.reshape(batch, words.shape[1], 8)[:, :, :nbytes]
         bits = np.unpackbits(
-            np.ascontiguousarray(raw).reshape(batch, -1),
+            np.ascontiguousarray(raw).reshape(batch, words.shape[1] * nbytes),
             axis=1,
             bitorder="little",
         )
@@ -130,24 +130,28 @@ def decode_unary_histogram_batch(
         shifts = np.arange(word_bits, dtype=np.uint64)
         bits = (
             (words[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
-        ).reshape(batch, -1)
+        ).reshape(batch, words.shape[1] * word_bits)
         zeros = bits == 0
-    counts = zeros.sum(axis=1)
+    # Flat positions of every zero separator, row-major; row r's zeros
+    # are bounds[r]:bounds[r + 1] of them.
+    width = zeros.shape[1]
+    flat = np.flatnonzero(zeros)
+    row_starts = np.arange(batch + 1) * width
+    bounds = np.searchsorted(flat, row_starts)
+    counts = bounds[1:] - bounds[:-1]
     if int(counts.min(initial=num_buckets)) < num_buckets:
         bad = int(np.argmax(counts < num_buckets))
         raise ParameterError(
             f"histogram truncated: row {bad} decoded "
             f"{int(counts[bad])} of {num_buckets} buckets"
         )
-    # Positions of the first num_buckets zero separators in each row.
-    _, cols = np.nonzero(zeros)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    take = offsets[:, None] + np.arange(num_buckets)
-    positions = cols[take]
-    loads = np.empty((batch, num_buckets), dtype=np.int64)
-    loads[:, 0] = positions[:, 0]
-    if num_buckets > 1:
-        loads[:, 1:] = np.diff(positions, axis=1) - 1
+    # Each row's first num_buckets separators, as columns of that row; a
+    # load is the gap before its separator (the first from the row start).
+    loads = (
+        flat[bounds[:-1, None] + np.arange(num_buckets)]
+        - row_starts[:-1, None]
+    )
+    loads[:, 1:] -= loads[:, :-1] + 1
     return loads
 
 

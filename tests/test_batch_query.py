@@ -250,6 +250,19 @@ class TestBatchPrimitives:
         )
         assert out.shape == (3, 0)
 
+    @pytest.mark.parametrize("word_bits", [8, 13, 64])
+    def test_histogram_decode_batch_of_no_rows(self, word_bits):
+        out = decode_unary_histogram_batch(
+            np.zeros((0, 2), dtype=np.uint64), 5, word_bits
+        )
+        assert out.shape == (0, 5) and out.dtype == np.int64
+
+    def test_low_contention_empty_batch(self):
+        d, _, _ = _build(LowContentionDictionary, 64)
+        out = d.query_batch(np.array([], dtype=np.int64), rng=as_generator(1))
+        assert out.shape == (0,) and out.dtype == bool
+        assert d.table.counter.total_probes() == 0
+
     def test_unpack_pair_batch_matches_scalar(self):
         pairs = [(0, 0), (1, 2), (2**31 - 1, 5), (123456, 2**31 - 1)]
         words = np.array([pack_pair(a, b) for a, b in pairs], dtype=np.uint64)
@@ -281,6 +294,19 @@ class TestBatchPrimitives:
             for c in reversed(coeffs):
                 acc = (acc * x + c) % prime
             assert got[i] == acc % range_size
+        # Stacked: two polynomials with their own ranges in one pass.
+        other = [(w * np.uint64(3) + np.uint64(1)) % np.uint64(prime)
+                 for w in word_arrays]
+        stacked = horner_eval_batch(
+            [np.stack(pair) for pair in zip(word_arrays, other)],
+            xs_arr,
+            prime,
+            np.array([[range_size], [7]]),
+        )
+        assert stacked[0].tolist() == got.tolist()
+        assert stacked[1].tolist() == horner_eval_batch(
+            other, xs_arr, prime, 7
+        ).tolist()
 
 
 def test_verification_error_attributes():

@@ -94,6 +94,42 @@ def test_record_batch_bounds():
         c.record_batch(0, np.array([3]))
 
 
+def test_record_round_charges_row_i_at_step_plus_i():
+    c = ProbeCounter(5)
+    c.record_round(1, np.array([[0, -1, 2, 2], [-1, -1, -1, -1], [4, 4, 0, -2]]))
+    counts = c.counts_per_step()
+    assert c.num_steps == 4  # steps 0..3; the all-skipped step 2 included
+    assert counts[1].tolist() == [1, 0, 2, 0, 0]
+    assert not counts[2].any()
+    assert counts[3].tolist() == [1, 0, 0, 0, 2]
+    assert c.total_probes() == 6 and c.executions == 0
+
+
+def test_record_round_validation_charges_nothing():
+    c = ProbeCounter(3)
+    for step, cells in [
+        (0, np.array([[0, 3]])),
+        (0, np.array([[-1], [5]])),
+        (-1, np.array([[0]])),
+        (0, np.array([0, 1])),
+    ]:
+        with pytest.raises(ParameterError):
+            c.record_round(step, cells)
+    assert c.num_steps == 0 and c.total_probes() == 0
+
+
+def test_shm_record_round_rejects_steps_beyond_capacity():
+    seg = create_counter_segment(segment_name("repro-test", "cap"), 4, 8)
+    try:
+        shm = ShmProbeCounter(seg)
+        with pytest.raises(ParameterError):
+            shm.record_round(3, np.array([[1], [2]]))
+        shm.record_round(2, np.array([[1], [2]]))
+        assert shm.num_steps == 4 and shm.total_probes() == 2
+    finally:
+        destroy_segment(seg)
+
+
 def test_contention_requires_executions():
     c = ProbeCounter(2)
     c.record(0, 0)
@@ -159,9 +195,18 @@ _op = st.one_of(
                                                  min_size=1, max_size=4)),
     st.tuples(st.just("merge"), st.lists(st.tuples(_steps, _batch),
                                          max_size=3)),
+    st.tuples(st.just("round"), st.integers(0, MAX_STEPS - 3),
+              st.integers(1, 3), st.lists(st.integers(-3, CELLS - 1),
+                                          max_size=12)),
     st.tuples(st.just("finish"), st.integers(1, 3)),
     st.tuples(st.just("reset"),),
 )
+
+
+def _round(op) -> tuple[int, np.ndarray]:
+    _, step, k, cells = op
+    width = len(cells) // k
+    return step, np.array(cells[: k * width], dtype=np.int64).reshape(k, width)
 
 
 def _apply(counter, op) -> None:
@@ -176,10 +221,21 @@ def _apply(counter, op) -> None:
             other.record_batch(step, np.array(cells, dtype=np.int64))
         other.finish_execution()
         counter.merge(other)
+    elif kind == "round":
+        counter.record_round(*_round(op))
     elif kind == "finish":
         counter.finish_execution(op[1])
     else:
         counter.reset()
+
+
+def _apply_by_rows(counter, op) -> None:
+    """Like :func:`_apply`, but a round becomes one record_batch per row."""
+    if op[0] != "round":
+        return _apply(counter, op)
+    step, cells = _round(op)
+    for i, row in enumerate(cells):
+        counter.record_batch(step + i, row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,7 +244,9 @@ def test_running_total_tracks_the_count_matrix(ops):
     # The O(1) total is derived from the per-step rows, never instead of
     # them: after every operation it equals the matrix sum, and the
     # plain, shared-memory and read-back counters digest identically.
+    # A round records exactly what one record_batch per row records.
     plain = ProbeCounter(CELLS)
+    by_rows = ProbeCounter(CELLS)
     seg = create_counter_segment(
         segment_name("repro-test", "prop"), MAX_STEPS, CELLS
     )
@@ -197,10 +255,12 @@ def test_running_total_tracks_the_count_matrix(ops):
         for op in ops:
             _apply(plain, op)
             _apply(shm, op)
+            _apply_by_rows(by_rows, op)
             copy = read_counter(seg)
             for c in (plain, shm, copy):
                 assert c.total_probes() == int(c.counts_per_step().sum())
             assert shm.digest() == plain.digest() == copy.digest()
+            assert by_rows.digest() == plain.digest()
             assert shm.total_probes() == plain.total_probes()
             assert copy.total_probes() == plain.total_probes()
         # A fresh attach resumes the exact state, total included.

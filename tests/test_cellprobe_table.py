@@ -197,3 +197,167 @@ def test_faulty_table_read_batch_charges_like_the_bare_table():
         assert clean.shape == noisy.shape
     assert wrapped.counter.digest() == bare.counter.digest()
     assert wrapped.counter.total_probes() == 5
+
+
+# -- read_round contract ---------------------------------------------------------
+
+
+def _per_row(table, rows, cols, step):
+    """The round as k separate read_batch calls, one step each."""
+    return np.stack([
+        table.read_batch(int(r), c, step + i)
+        for i, (r, c) in enumerate(zip(rows, cols))
+    ])
+
+
+ROUNDS = [
+    (np.array([0, 1, 2]), np.array([[0, 4, 2], [1, 1, 3], [4, 0, 0]])),
+    (np.array([2, 0]), np.array([[3, -1, 0, -2], [-1, -1, 4, 4]])),
+    (np.array([1]), np.array([[2, 2, 2, 2, 2]])),
+    (np.array([2, 1, 0]), np.array([[-1, -1], [0, -1], [-3, -1]])),
+]
+
+
+@pytest.mark.parametrize("rows, cols", ROUNDS)
+def test_read_round_equals_per_row_read_batch(rows, cols):
+    t, ref = _filled(), _filled()
+    out = t.read_round(rows, cols, step=2)
+    assert out.dtype == np.uint64 and out.shape == cols.shape
+    assert out.tolist() == _per_row(ref, rows, cols, 2).tolist()
+    assert t.counter.digest() == ref.counter.digest()
+    assert t.counter.total_probes() == ref.counter.total_probes()
+    assert t.counter.total_probes() == int((cols >= 0).sum())
+
+
+def test_read_round_skipped_entries_read_empty_and_charge_nothing():
+    t = _filled()
+    out = t.read_round(
+        np.array([0, 2]), np.array([[3, -1, -7], [-1, 1, -1]]), step=0
+    )
+    assert out.tolist() == [[3, EMPTY_CELL, EMPTY_CELL],
+                            [EMPTY_CELL, 201, EMPTY_CELL]]
+    counts = t.counter.counts_per_step()
+    assert counts[0, t.flat_index(0, 3)] == 1
+    assert counts[1, t.flat_index(2, 1)] == 1
+    assert t.counter.total_probes() == 2
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        ([-1, 0], [[0, 1], [1, 1]]),         # negative row
+        ([0, 3], [[0, 1], [1, 1]]),          # row == rows
+        ([1, 2], [[1, 5], [0, 0]]),          # column == s
+        ([1, 2], [[-1, -1], [9, -1]]),       # column > s beside skips
+        ([7, 1], [[0, -1], [-1, -1]]),       # bad row with one active entry
+    ],
+)
+def test_read_round_out_of_range_active_entry_raises(rows, cols):
+    t = _filled()
+    with pytest.raises(TableError):
+        t.read_round(np.array(rows), np.array(cols), step=1)
+    # The failed round charged nothing and allocated no step.
+    assert t.counter.total_probes() == 0
+    assert t.counter.num_steps == 0
+
+
+def test_read_round_bounds_ignore_skipped_entries():
+    t = _filled()
+    out = t.read_round(
+        np.array([7, 1, -4]), np.array([[-1, -1], [2, -1], [-1, -1]]), step=0
+    )
+    assert out.tolist() == [[EMPTY_CELL] * 2, [102, EMPTY_CELL],
+                            [EMPTY_CELL] * 2]
+    assert t.counter.total_probes() == 1
+
+
+def test_read_round_rejects_malformed_shapes():
+    t = _filled()
+    for rows, cols in [
+        (np.array([0, 1]), np.array([0, 1])),
+        (np.array([[0]]), np.array([[0]])),
+        (np.array([0, 1]), np.array([[0, 1]])),
+    ]:
+        with pytest.raises(TableError):
+            t.read_round(rows, cols, step=0)
+    assert t.counter.num_steps == 0
+
+
+def test_read_round_all_skipped_step_is_allocated():
+    t = _filled()
+    out = t.read_round(np.array([0, 1]), np.array([[1, 2], [-1, -1]]), step=3)
+    assert out[1].tolist() == [EMPTY_CELL] * 2
+    assert t.counter.num_steps == 5
+    assert not t.counter.counts_per_step()[4].any()
+    empty = _filled()
+    empty.read_round(np.array([2]), np.zeros((1, 0), dtype=np.int64), step=1)
+    assert empty.counter.num_steps == 2
+    assert empty.counter.total_probes() == 0
+
+
+def test_read_round_probe_events_match_per_row_reads():
+    from repro.telemetry.events import BUS, ProbeEvent
+
+    rows, cols = ROUNDS[1]
+    seen = {"round": [], "rows": []}
+    for key, read in (
+        ("round", lambda: _filled().read_round(rows, cols, step=1)),
+        ("rows", lambda: _per_row(_filled(), rows, cols, 1)),
+    ):
+        BUS.subscribe(seen[key].append)
+        try:
+            read()
+        finally:
+            BUS.unsubscribe(seen[key].append)
+    as_pairs = {
+        key: [(e.step, e.probes) for e in events if isinstance(e, ProbeEvent)]
+        for key, events in seen.items()
+    }
+    assert as_pairs["round"] == as_pairs["rows"] == [(1, 2), (2, 2)]
+
+
+def test_faulty_table_read_round_matches_per_row_reads():
+    from repro.faults import FaultConfig, FaultInjector, FaultyTable
+
+    config = FaultConfig(stuck_rate=0.3, flip_rate=0.5, seed=11)
+    by_round = FaultyTable(_filled(), FaultInjector(config, 3, 5))
+    by_rows = FaultyTable(_filled(), FaultInjector(config, 3, 5))
+    for step, (rows, cols) in enumerate(ROUNDS):
+        got = by_round.read_round(rows, cols, step)
+        want = _per_row(by_rows, rows, cols, step)
+        assert got.tolist() == want.tolist()
+    assert by_round.counter.digest() == by_rows.counter.digest()
+
+
+def test_low_contention_query_batch_is_five_rounds():
+    from repro.core import LowContentionDictionary
+    from repro.utils.rng import as_generator, sample_distinct
+
+    keys = np.sort(sample_distinct(as_generator(3), 1 << 16, 64))
+    d = LowContentionDictionary(keys, 1 << 16, rng=as_generator(4))
+    calls = []
+
+    class Spy:
+        def __init__(self, table):
+            self._table = table
+            self.rows, self.s, self.counter = table.rows, table.s, table.counter
+
+        def read_round(self, rows, columns, step):
+            calls.append(("read_round", step, len(rows)))
+            return self._table.read_round(rows, columns, step)
+
+        def read_batch(self, rows, columns, step):
+            calls.append(("read_batch", step))
+            return self._table.read_batch(rows, columns, step)
+
+    d.table = Spy(d.table)
+    xs = np.concatenate([keys[:20], np.arange(0, 1 << 16, 4099)])
+    d.query_batch(xs, rng=as_generator(5))
+    p = d.params
+    assert calls == [
+        ("read_round", 0, 2 * p.degree),
+        ("read_round", p.z_row, 1),
+        ("read_round", p.gbas_row, 1 + p.rho),
+        ("read_round", p.phf_row, 1),
+        ("read_round", p.data_row, 1),
+    ]

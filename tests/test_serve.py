@@ -179,6 +179,27 @@ class TestShardedService:
         with pytest.raises(QueryError):
             svc.shard_of(N)
 
+    def test_shard_of_on_and_next_to_every_boundary(self, instance):
+        keys, N = instance
+        svc = small_service(keys, N, num_shards=5, replicas=1)
+        edges = [(N * i) // 5 for i in range(5)] + [N]
+        probes = sorted({
+            x for b in edges for x in (b - 1, b, b + 1) if 0 <= x < N
+        })
+        expected = [
+            next(i for i in range(5) if edges[i] <= x < edges[i + 1])
+            for x in probes
+        ]
+        assert [svc.shard_of(x) for x in probes] == expected
+        assert [svc.shard_of(np.int64(x)) for x in probes] == expected
+        vec = svc._shards_of(np.array(probes, dtype=np.int64))
+        assert vec.tolist() == expected
+        for bad in (-1, N, N + 1):
+            with pytest.raises(QueryError):
+                svc.shard_of(bad)
+            with pytest.raises(QueryError):
+                svc._shards_of(np.array([0, bad], dtype=np.int64))
+
     def test_answers_are_ground_truth(self, instance):
         keys, N = instance
         svc = small_service(keys, N, max_batch=8)
