@@ -414,10 +414,7 @@ class AutotuneController:
     # -- raw signal taps ---------------------------------------------------------
 
     def _shard_probe_totals(self) -> list:
-        return [
-            int(np.sum(s.replica_probe_loads()))
-            for s in self.service.shards
-        ]
+        return [s.probe_total() for s in self.service.shards]
 
     def _shard_replica_counts(self) -> list:
         return [int(s.replicas) for s in self.service.shards]

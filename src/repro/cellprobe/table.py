@@ -62,6 +62,36 @@ class Table:
         self._cells[row, column] = value
         self.writes += 1
 
+    def write_cells(self, row: int, columns: np.ndarray, values) -> None:
+        """Store ``values[i]`` at ``(row, columns[i])``; not a probe.
+
+        The same cells, values, ``writes`` and range checks as one
+        :meth:`write` per column, in one scatter.  ``values`` must match
+        ``columns`` in shape; columns are expected to be distinct.
+        """
+        if not 0 <= row < self.rows:
+            raise TableError(f"row {row} out of range [0, {self.rows})")
+        columns = np.asarray(columns, dtype=np.int64)
+        if columns.size and (
+            int(columns.min()) < 0 or int(columns.max()) >= self.s
+        ):
+            raise TableError(
+                f"column out of range [0, {self.s}) in row {row}"
+            )
+        try:
+            cells = np.asarray(values, dtype=np.uint64)
+        except OverflowError as exc:
+            raise TableError(f"a value does not fit a {CELL_BITS}-bit cell") from exc
+        if cells.shape != columns.shape:
+            raise TableError(
+                f"values have shape {cells.shape}, columns {columns.shape}"
+            )
+        signed = isinstance(values, np.ndarray) and values.dtype.kind == "i"
+        if signed and values.size and int(values.min()) < 0:
+            raise TableError(f"a value does not fit a {CELL_BITS}-bit cell")
+        self._cells[row, columns] = cells
+        self.writes += int(columns.size)
+
     def write_row(self, row: int, values: np.ndarray) -> None:
         """Bulk-store an entire row during construction; not a probe."""
         if not 0 <= row < self.rows:

@@ -39,7 +39,11 @@ from repro.cellprobe.table import EMPTY_CELL, Table
 from repro.core.params import SchemeParameters
 from repro.errors import ConstructionError
 from repro.hashing.dm import DMHashFunction
-from repro.hashing.perfect import PerfectHashFunction, find_perfect_hash
+from repro.hashing.perfect import (
+    PerfectHashFunction,
+    find_perfect_hash,
+    perfect_hash_eval,
+)
 from repro.hashing.polynomial import PolynomialFamily
 from repro.utils.bits import encode_unary_histogram
 from repro.utils.primes import field_prime_for_universe
@@ -78,19 +82,25 @@ class ConstructionResult:
 
 def _check_property_p(
     params: SchemeParameters, keys: np.ndarray, h: DMHashFunction
-) -> tuple[bool, np.ndarray, np.ndarray]:
-    """Evaluate property P(S); returns (ok, bucket_loads, group_loads)."""
-    g_loads = np.bincount(h.g.eval_batch(keys), minlength=params.r)
+) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate property P(S).
+
+    Returns ``(ok, bucket_loads, group_loads, hv)`` where ``hv`` is h
+    over the keys; f and g are each evaluated once (f only when the
+    coarse g-loads pass).
+    """
+    gx = h.g.eval_batch(keys)
+    g_loads = np.bincount(gx, minlength=params.r)
     if int(g_loads.max(initial=0)) > params.max_g_load:
-        return False, None, None
-    hv = h.eval_batch(keys)
+        return False, None, None, None
+    hv = (h.f.eval_batch(keys) + h.z[gx]) % params.s
     loads = np.bincount(hv, minlength=params.s).astype(np.int64)
     group_loads = np.bincount(hv % params.m, minlength=params.m).astype(np.int64)
     if int(group_loads.max(initial=0)) > params.max_group_load:
-        return False, None, None
+        return False, None, None, None
     if int(np.sum(loads**2)) > params.fks_budget:
-        return False, None, None
-    return True, loads, group_loads
+        return False, None, None, None
+    return True, loads, group_loads, hv
 
 
 def sample_until_property_p(
@@ -99,10 +109,11 @@ def sample_until_property_p(
     prime: int,
     rng: np.random.Generator,
     max_trials: int = 500,
-) -> tuple[DMHashFunction, np.ndarray, np.ndarray, int]:
+) -> tuple[DMHashFunction, np.ndarray, np.ndarray, np.ndarray, int]:
     """Rejection-sample (f, g, z) until P(S) holds.
 
-    Returns (h, bucket_loads, group_loads, trials).
+    Returns (h, bucket_loads, group_loads, hv, trials), where ``hv`` is
+    h over ``keys``.
     """
     f_family = PolynomialFamily(prime, params.s, params.degree)
     g_family = PolynomialFamily(prime, params.r, params.degree)
@@ -111,9 +122,9 @@ def sample_until_property_p(
         g = g_family.sample(rng)
         z = rng.integers(0, params.s, size=params.r)
         h = DMHashFunction(f, g, z)
-        ok, loads, group_loads = _check_property_p(params, keys, h)
+        ok, loads, group_loads, hv = _check_property_p(params, keys, h)
         if ok:
-            return h, loads, group_loads, trial
+            return h, loads, group_loads, hv, trial
     raise ConstructionError(
         f"property P(S) not satisfied after {max_trials} trials "
         f"(n={params.n}, s={params.s}, m={params.m}, r={params.r})"
@@ -133,10 +144,12 @@ def construct(
     constants for ``n = len(keys)``.
     """
     rng = as_generator(rng)
-    keys = np.asarray(sorted(int(k) for k in keys), dtype=np.int64)
+    if not isinstance(keys, np.ndarray):
+        keys = list(keys)
+    keys = np.sort(np.asarray(keys, dtype=np.int64))
     if keys.size < 2:
         raise ConstructionError("need at least 2 keys")
-    if np.unique(keys).size != keys.size:
+    if np.any(keys[1:] == keys[:-1]):
         raise ConstructionError("keys must be distinct")
     universe_size = int(universe_size)
     if int(keys[0]) < 0 or int(keys[-1]) >= universe_size:
@@ -149,7 +162,7 @@ def construct(
         )
     prime = field_prime_for_universe(universe_size)
 
-    h, loads, group_loads, trials = sample_until_property_p(
+    h, loads, group_loads, hv, trials = sample_until_property_p(
         params, keys, prime, rng, max_trials
     )
     s, m, r, rho = params.s, params.m, params.r, params.rho
@@ -187,40 +200,60 @@ def construct(
     table.write_row(params.gbas_row, gbas[cols % m].astype(np.uint64))
 
     # Group histograms: loads of members 0..G-1 of each group, unary.
-    hist_words = np.zeros((m, rho), dtype=np.uint64)
-    for j in range(m):
-        member_loads = loads[j + m * np.arange(G, dtype=np.int64)]
-        words = encode_unary_histogram(
-            [int(v) for v in member_loads], params.word_bits
-        )
+    # Bucket b is member b // m of group b % m, and s = G * m.
+    hist_rows = []
+    for j, member_loads in enumerate(loads.reshape(G, m).T.tolist()):
+        words = encode_unary_histogram(member_loads, params.word_bits)
         if len(words) > rho:
             raise ConstructionError(
                 f"histogram of group {j} needs {len(words)} words > rho={rho}"
             )
-        for i, w in enumerate(words):
-            hist_words[j, i] = w
+        hist_rows.append(words + [0] * (rho - len(words)))
+    hist_words = np.array(hist_rows, dtype=np.uint64).reshape(m, rho)
     for i, row in enumerate(params.histogram_rows):
         table.write_row(row, hist_words[cols % m, i])
 
-    # Perfect-hash row and data row, span by span.
+    # Perfect-hash row and data row.  The loop only draws each occupied
+    # bucket's perfect hash, in bucket order (the construction's RNG
+    # order); each row is then written with one scatter.
     inner: list = [None] * s
-    nonempty = np.nonzero(loads)[0]
-    # Group keys by bucket once (vectorized bucketing).
-    hv = h.eval_batch(keys)
     key_order = np.argsort(hv, kind="stable")
+    sorted_keys = keys[key_order]
     sorted_buckets = hv[key_order]
-    boundaries = np.searchsorted(sorted_buckets, np.arange(s + 1))
-    for b in nonempty:
-        bucket_keys = keys[key_order[boundaries[b] : boundaries[b + 1]]]
-        load = int(loads[b])
-        h_star, _ = find_perfect_hash(bucket_keys, prime, load * load, rng)
+    bounds = np.searchsorted(sorted_buckets, np.arange(s + 1)).tolist()
+    nonempty = np.nonzero(loads)[0]
+    inner_a, inner_c, phf_words = [], [], []
+    for b in nonempty.tolist():
+        lo, hi = bounds[b], bounds[b + 1]
+        h_star, _ = find_perfect_hash(
+            sorted_keys[lo:hi], prime, (hi - lo) ** 2, rng
+        )
         inner[b] = h_star
-        start = int(span_starts[b])
-        word = h_star.packed_word()
-        for j in range(load * load):
-            table.write(params.phf_row, start + j, word)
-        for key in bucket_keys:
-            table.write(params.data_row, start + h_star(int(key)), int(key))
+        inner_a.append(h_star.a)
+        inner_c.append(h_star.c)
+        phf_words.append(h_star.packed_word())
+    # Bucket b's perfect-hash word fills its whole span of load(b)**2 cells.
+    spans = sq[nonempty]
+    span_first = np.repeat(np.cumsum(spans) - spans, spans)
+    table.write_cells(
+        params.phf_row,
+        np.repeat(span_starts[nonempty], spans)
+        + np.arange(int(spans.sum())) - span_first,
+        np.repeat(np.array(phf_words, dtype=np.uint64), spans),
+    )
+    # Key x of bucket b sits at span_start(b) + h*_b(x): every bucket's
+    # perfect hash evaluated in one pass over the bucket-sorted keys.
+    owner = np.repeat(np.arange(nonempty.size), loads[nonempty])
+    in_span = perfect_hash_eval(
+        prime,
+        np.array(inner_a, dtype=np.uint64)[owner],
+        np.array(inner_c, dtype=np.uint64)[owner],
+        sq[sorted_buckets].astype(np.uint64),
+        sorted_keys,
+    )
+    table.write_cells(
+        params.data_row, span_starts[sorted_buckets] + in_span, sorted_keys
+    )
 
     return ConstructionResult(
         params=params,

@@ -374,6 +374,14 @@ class ReplicatedDictionary(StaticDictionary):
             self.replicas, self._inner_rows * self.table.s
         ).sum(axis=1)
 
+    def probe_total(self) -> int:
+        """Probes charged so far across all replicas, in O(1).
+
+        Equals ``replica_probe_loads().sum()`` without the per-cell
+        pass: the shared counter keeps a running total.
+        """
+        return int(self.table.counter.total_probes())
+
     def query_batch(self, xs: np.ndarray, rng=None) -> np.ndarray:
         """Batch queries grouped by sampled replica.
 

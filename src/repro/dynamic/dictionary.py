@@ -163,7 +163,7 @@ class DynamicLowContentionDictionary:
 
     @property
     def live_count(self) -> int:
-        return len(self._levels.live_keys())
+        return self._levels._live
 
     def live_keys(self) -> np.ndarray:
         """The current key set, sorted (ground truth; no probes)."""

@@ -19,6 +19,12 @@ Level discipline (binary-counter carries):
 
 A key appears in at most one entry per level; the newest level
 containing it determines its state.
+
+The live count is kept exactly as ``LevelStructure._live``: ``apply``
+moves it by the one key whose state it changes, so the flatten test
+costs O(1) and the Θ(n) ``live_keys()`` scan runs only when a flatten
+fires.  Code that assigns ``levels`` directly must call
+:meth:`LevelStructure.recount` afterwards.
 """
 
 from __future__ import annotations
@@ -146,6 +152,8 @@ class LevelStructure:
         self.encoded_universe = 2 * self.universe_size
         self.rng = as_generator(rng)
         self.levels: list[Level | None] = []
+        #: Keys whose newest entry is an insert (== len(live_keys())).
+        self._live = 0
         self.account = account
         self.max_trials = max_trials
         # Pad every level's table to at least this many cells per row.
@@ -180,15 +188,21 @@ class LevelStructure:
                     return state
         return False
 
+    def _newest_states(self) -> dict[int, bool]:
+        """Each key's newest entry: older levels first, newer overwrite."""
+        states: dict[int, bool] = {}
+        for level in reversed(self.levels):
+            if level is not None:
+                states.update(level.entries)
+        return states
+
     def live_keys(self) -> list[int]:
         """All keys whose newest entry is an insert, sorted."""
-        seen: dict[int, bool] = {}
-        for level in self.levels:
-            if level is None:
-                continue
-            for key, is_insert in level.entries.items():
-                seen.setdefault(key, is_insert)
-        return sorted(k for k, alive in seen.items() if alive)
+        return sorted(k for k, alive in self._newest_states().items() if alive)
+
+    def recount(self) -> None:
+        """Re-derive the live count from the levels (after relinking them)."""
+        self._live = sum(self._newest_states().values())
 
     @property
     def total_entries(self) -> int:
@@ -286,6 +300,9 @@ class LevelStructure:
         key = int(key)
         if not 0 <= key < self.universe_size:
             raise ParameterError(f"key {key} outside universe")
+        # Only this key changes state, so the live count moves by its
+        # change alone (zero for a no-op update).
+        self._live += int(is_insert) - int(self.state_of(key))
         # Find the first empty level; merge everything newer into it.
         j = 0
         while j < len(self.levels) and self.levels[j] is not None:
@@ -307,9 +324,9 @@ class LevelStructure:
         self._maybe_flatten()
 
     def _maybe_flatten(self) -> None:
-        live = self.live_keys()
         total = self.total_entries
-        if total >= 8 and total > 2 * max(len(live), 1):
+        if total >= 8 and total > 2 * max(self._live, 1):
+            live = self.live_keys()
             for i in range(len(self.levels)):
                 self._retire(self.levels[i])
                 self.levels[i] = None

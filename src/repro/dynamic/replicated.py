@@ -254,6 +254,7 @@ class ReplicatedDynamicDictionary:
         d = self._replicas[r]
         for i in range(len(d._levels.levels)):
             d._levels.levels[i] = None
+        d._levels.recount()
         self._crashed.add(r)
         self.fault_stats.crashes += 1
 
@@ -361,11 +362,13 @@ class ReplicatedDynamicDictionary:
         ``on_retire`` hook into this instance's epoch manager), then
         overwrites the shared rng stream position, the level list, the
         install counter (future verify-sweep seeds must continue the
-        sequence), and the cost account.
+        sequence), and the cost account.  The live count is re-derived
+        from the restored levels (captured states do not carry it).
         """
         d = self._fresh_replica(r)
         d.rng.bit_generator.state = state["rng_state"]
         d._levels.levels = list(state["levels"])
+        d._levels.recount()
         d._levels._installs = int(state["installs"])
         d.account = state["account"]
         d._levels.account = d.account
@@ -632,6 +635,14 @@ class ReplicatedDynamicDictionary:
                 for lv in d._levels.nonempty_levels
             )
         return loads
+
+    def probe_total(self) -> int:
+        """Query probes charged so far across all replicas.
+
+        The sum of :meth:`replica_probe_loads`: one running total per
+        non-empty level, so O(R * levels) and independent of table size.
+        """
+        return int(self.replica_probe_loads().sum())
 
     def query_counter_digest(self, replica: int = 0) -> str:
         """One replica's query-counter digest (rebuild probes excluded)."""

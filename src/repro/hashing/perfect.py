@@ -20,6 +20,20 @@ from repro.utils.bits import pack_pair, unpack_pair
 from repro.utils.primes import MAX_VECTOR_PRIME, is_prime
 
 
+def perfect_hash_eval(prime: int, a, c, range_size, xs) -> np.ndarray:
+    """``((a*(x mod p) + c) mod p) mod range_size`` for each ``x`` in ``xs``.
+
+    ``a``, ``c`` and ``range_size`` are uint64 scalars or arrays that
+    broadcast against ``xs``, so many perfect hashes (one per key) are
+    evaluated in one pass.  With ``a, c < p < 2**31`` the uint64
+    products cannot overflow.
+    """
+    p = np.uint64(prime)
+    x = np.asarray(xs).astype(np.uint64) % p
+    v = (a * x + c) % p
+    return (v % range_size).astype(np.int64)
+
+
 class PerfectHashFunction(HashFunction):
     """``h*(x) = ((a*x + c) mod p) mod range_size`` packed into one word."""
 
@@ -41,9 +55,13 @@ class PerfectHashFunction(HashFunction):
         return ((self.a * (int(x) % self.prime) + self.c) % self.prime) % self.range_size
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        x = np.asarray(xs).astype(np.uint64) % np.uint64(self.prime)
-        v = (np.uint64(self.a) * x + np.uint64(self.c)) % np.uint64(self.prime)
-        return (v % np.uint64(self.range_size)).astype(np.int64)
+        return perfect_hash_eval(
+            self.prime,
+            np.uint64(self.a),
+            np.uint64(self.c),
+            np.uint64(self.range_size),
+            xs,
+        )
 
     def parameter_words(self) -> list[int]:
         return [self.packed_word()]

@@ -336,9 +336,9 @@ class DynamicShardedService(ShardedDictionaryService):
         # applied before the read executes.
         self._flush_writes(shard, now)
         dictionary = self.shards[shard]
-        before = int(dictionary.replica_probe_loads().sum())
+        before = dictionary.probe_total()
         answers = dictionary.query_batch(xs, self._rng)
-        probes = int(dictionary.replica_probe_loads().sum()) - before
+        probes = dictionary.probe_total() - before
         finish = self._account(shard, -1, probes, now, batch_span)
         self._stamp(tickets, range(len(tickets)), answers, finish, None)
 

@@ -46,6 +46,35 @@ def test_write_row_bulk():
         t.write_row(5, np.zeros(3, dtype=np.uint64))
 
 
+def test_write_cells_equals_per_cell_writes():
+    scatter, scalar = Table(rows=2, s=8), Table(rows=2, s=8)
+    cols = np.array([6, 0, 3, 7], dtype=np.int64)
+    vals = [5, (1 << 64) - 2, 0, 9]
+    scatter.write_cells(1, cols, np.array(vals, dtype=np.uint64))
+    for c, v in zip(cols.tolist(), vals):
+        scalar.write(1, c, v)
+    assert np.array_equal(scatter._cells, scalar._cells)
+    assert scatter.writes == scalar.writes == 4
+    scatter.write_cells(0, np.array([], dtype=np.int64), [])
+    assert scatter.writes == 4
+    for row, bad in ((2, [0]), (0, [8]), (0, [-1, 2])):
+        with pytest.raises(TableError):
+            scatter.write_cells(row, np.array(bad), np.zeros(len(bad)))
+    bad_values = (
+        np.array([1, -1]),  # negative int64 would wrap to a huge word
+        [1, -1],
+        [1 << 64, 0],
+        np.zeros(1, dtype=np.uint64),  # would broadcast over both columns
+        5,
+        np.zeros(3, dtype=np.uint64),
+    )
+    for values in bad_values:
+        with pytest.raises(TableError):
+            scatter.write_cells(0, np.array([1, 2]), values)
+    assert np.array_equal(scatter._cells, scalar._cells)
+    assert scatter.writes == 4
+
+
 def test_bounds_checking():
     t = Table(rows=2, s=3)
     for row, col in ((2, 0), (0, 3), (-1, 0), (0, -1)):

@@ -27,11 +27,12 @@ class TestPropertyP:
     def test_sampler_reports_trials(self, keys, universe_size):
         params = SchemeParameters(n=keys.size)
         prime = field_prime_for_universe(universe_size)
-        h, loads, group_loads, trials = sample_until_property_p(
+        h, loads, group_loads, hv, trials = sample_until_property_p(
             params, keys, prime, np.random.default_rng(0)
         )
         assert trials >= 1
         assert int(loads.sum()) == keys.size
+        assert np.array_equal(hv, h.eval_batch(keys))
 
     def test_trial_budget_enforced(self, keys, universe_size):
         params = SchemeParameters(n=keys.size)

@@ -51,6 +51,19 @@ class TestCorrectness:
         assert sum(1 for h in replica_hits if h > 0) >= 4
         counter.reset()
 
+    def test_probe_total_is_sum_of_replica_loads(self, keys, universe_size):
+        rep = ReplicatedDictionary(
+            FKSDictionary(keys, universe_size, rng=np.random.default_rng(1)),
+            replicas=3,
+        )
+        rng = np.random.default_rng(2)
+        assert rep.probe_total() == 0
+        rep.query_batch(keys[:40], rng)
+        rep.query_batch_on(keys[40:60], 2, rng)
+        rep.query(int(keys[0]), rng)
+        assert rep.probe_total() > 0
+        assert rep.probe_total() == int(rep.replica_probe_loads().sum())
+
 
 class TestContention:
     def test_contention_divides_by_R(self, keys, universe_size):

@@ -1,10 +1,16 @@
 """Dynamic dictionary: correctness, level discipline, cost accounting."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.distributions import UniformPositiveNegative
-from repro.dynamic import DynamicLowContentionDictionary
+from repro.dynamic import (
+    DynamicLowContentionDictionary,
+    ReplicatedDynamicDictionary,
+)
 from repro.dynamic.levels import (
     LevelStructure,
     SingletonDictionary,
@@ -277,3 +283,107 @@ class TestLevelEdgeCases:
         assert digests[0] == digests[1]
         assert sizes[0] == sizes[1]
         assert spaces[0] == spaces[1]
+
+
+class TestLiveCount:
+    """The exact live count that replaces the per-update Θ(n) scan."""
+
+    _ops = st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["insert", "delete"]),
+                      st.integers(0, 15)),
+            st.tuples(st.sampled_from(["crash", "rebuild", "noop_apply"]),
+                      st.integers(0, 2)),
+            st.tuples(st.sampled_from(["compact", "snapshot"]), st.just(0)),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=20, deadline=None)
+    @given(ops=_ops, seed=st.integers(0, 3))
+    def test_count_matches_scan_on_every_replica(self, ops, seed):
+        rep = ReplicatedDynamicDictionary(
+            1 << 10, replicas=3, seed=seed, armed=True
+        )
+        ref: set[int] = set()
+        for op, arg in ops:
+            if op == "insert":
+                rep.insert(arg)
+                ref.add(arg)
+            elif op == "delete":
+                rep.delete(arg)
+                ref.discard(arg)
+            elif op == "crash":
+                rep.crash_replica(arg)
+            elif op == "rebuild":
+                rep.rebuild_replica(arg)
+            elif op == "compact":
+                rep.compact_log()
+            elif op == "snapshot":
+                rep, _ = ReplicatedDynamicDictionary.from_snapshot(
+                    rep.snapshot_payload()
+                )
+            else:
+                # A direct no-op apply: re-assert one key's current
+                # state on one replica's levels.
+                levels = rep._replicas[arg]._levels
+                key = min(ref) if ref else 3
+                levels.apply(key, levels.state_of(key))
+            for d in rep._replicas:
+                assert d._levels._live == len(d._levels.live_keys())
+                assert d.live_count == d._levels._live
+            if rep.live_replicas():
+                assert set(rep.live_keys().tolist()) == ref
+
+    def test_noop_apply_keeps_count(self):
+        ls = LevelStructure(1 << 10, np.random.default_rng(20))
+        for k in (1, 2, 3):
+            ls.apply(k, True)
+        ls.apply(2, True)  # already live
+        ls.apply(9, False)  # already absent
+        assert ls._live == len(ls.live_keys()) == 3
+
+    def test_apply_without_flatten_makes_no_scan(self, monkeypatch):
+        scans, flattens = [], []
+        scan, check = LevelStructure.live_keys, LevelStructure._maybe_flatten
+
+        def counted_scan(self):
+            scans.append(1)
+            return scan(self)
+
+        def watched_check(self):
+            # A flatten is the only step of _maybe_flatten that relinks.
+            before = [id(lv) for lv in self.levels]
+            check(self)
+            flattens.append([id(lv) for lv in self.levels] != before)
+
+        monkeypatch.setattr(LevelStructure, "live_keys", counted_scan)
+        monkeypatch.setattr(LevelStructure, "_maybe_flatten", watched_check)
+        ls = LevelStructure(1 << 10, np.random.default_rng(21))
+        for k in range(64):
+            ls.apply(k, True)  # distinct inserts never leave dead weight
+        assert scans == [] and not any(flattens)
+        for k in range(60):
+            ls.apply(k, False)
+            assert len(scans) == sum(flattens)
+        assert sum(flattens) > 0
+        assert ls._live == 4
+
+    def test_insert_time_does_not_grow_with_n(self):
+        # Amortized O(lg n) work per insert: filling to 2^14 costs per
+        # insert within 3x of filling to 2^10 (the lg ratio is 1.4).  A
+        # Θ(n) scan per update would make the ratio about 16.
+        def per_insert(n: int) -> float:
+            keys = np.random.default_rng(22).choice(1 << 24, n, replace=False)
+            dyn = DynamicLowContentionDictionary(
+                1 << 24, rng=np.random.default_rng(23)
+            )
+            start = time.process_time()
+            for k in keys.tolist():
+                dyn.insert(k)
+            elapsed = time.process_time() - start
+            assert dyn.live_count == n
+            return elapsed / n
+
+        small, large = per_insert(1 << 10), per_insert(1 << 14)
+        assert large <= 3 * small, (large, small)

@@ -241,6 +241,7 @@ class TestAccounting:
         loads = rep.replica_probe_loads()
         assert loads.shape == (3,)
         assert np.all(loads > 0)
+        assert rep.probe_total() == int(loads.sum())
         stats = rep.stats()
         assert stats["replicas"] == 3
         assert stats["live_replicas"] == 3

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConstructionError, ParameterError
 from repro.hashing import PerfectHashFunction, find_perfect_hash
+from repro.hashing.perfect import perfect_hash_eval
 from repro.utils.primes import next_prime
 
 PRIME = next_prime(1 << 16)
@@ -64,6 +65,25 @@ def test_scalar_matches_batch(rng):
     h = PerfectHashFunction(PRIME, 1234, 567, 89)
     xs = rng.integers(0, 1 << 16, size=300)
     assert all(h(int(x)) == int(v) for x, v in zip(xs, h.eval_batch(xs)))
+
+
+def test_many_functions_in_one_pass_match_each_function(rng):
+    fns = [
+        PerfectHashFunction(
+            PRIME, int(rng.integers(PRIME)), int(rng.integers(PRIME)), size
+        )
+        for size in (1, 4, 9, 25, 400)
+    ]
+    xs = rng.integers(0, 1 << 20, size=200)
+    owner = rng.integers(0, len(fns), size=xs.size)
+    got = perfect_hash_eval(
+        PRIME,
+        np.array([f.a for f in fns], dtype=np.uint64)[owner],
+        np.array([f.c for f in fns], dtype=np.uint64)[owner],
+        np.array([f.range_size for f in fns], dtype=np.uint64)[owner],
+        xs,
+    )
+    assert got.tolist() == [fns[o](int(x)) for x, o in zip(xs, owner)]
 
 
 def test_parameter_validation():
