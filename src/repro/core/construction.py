@@ -35,17 +35,13 @@ import dataclasses
 
 import numpy as np
 
-from repro.cellprobe.table import EMPTY_CELL, Table
+from repro.cellprobe.table import Table
 from repro.core.params import SchemeParameters
-from repro.errors import ConstructionError
+from repro.errors import ConstructionError, ParameterError
 from repro.hashing.dm import DMHashFunction
-from repro.hashing.perfect import (
-    PerfectHashFunction,
-    find_perfect_hash,
-    perfect_hash_eval,
-)
+from repro.hashing.perfect import perfect_hash_buckets
 from repro.hashing.polynomial import PolynomialFamily
-from repro.utils.bits import encode_unary_histogram
+from repro.utils.bits import encode_unary_histogram_batch, pack_pair_batch
 from repro.utils.primes import field_prime_for_universe
 from repro.utils.rng import as_generator
 
@@ -168,24 +164,17 @@ def construct(
     s, m, r, rho = params.s, params.m, params.r, params.rho
     G = params.group_size
 
-    # Group base addresses and per-bucket span starts (lexicographic:
-    # all of group 0's buckets, then group 1's, ...; within a group,
-    # member order k = bucket // m).
-    sq = loads.astype(np.int64) ** 2
-    bucket_ids = np.arange(s, dtype=np.int64)
-    groups = bucket_ids % m
-    members = bucket_ids // m
-    group_sq_totals = np.bincount(groups, weights=sq, minlength=m).astype(np.int64)
-    gbas = np.concatenate([[0], np.cumsum(group_sq_totals)[:-1]])
-    # Within-group prefix of squared loads: order buckets by (group, member).
-    order = np.lexsort((members, groups))
-    sq_in_order = sq[order]
-    prefix = np.concatenate([[0], np.cumsum(sq_in_order)[:-1]])
-    group_of_ordered = groups[order]
-    group_first = np.searchsorted(group_of_ordered, np.arange(m))
-    within = prefix - prefix[group_first[group_of_ordered]]
-    span_starts = np.empty(s, dtype=np.int64)
-    span_starts[order] = gbas[group_of_ordered] + within
+    # Bucket b is member b // m of group b % m, and s = G * m, so the
+    # (m, G) transpose of loads.reshape(G, m) lists the buckets in the
+    # paper's lexicographic order: group 0's members, then group 1's, ...
+    # Bucket b owns load(b)**2 cells; the spans tile [0, sum of squared
+    # loads) in that order, so a span starts at the exclusive prefix sum
+    # and a group's base address (GBAS) is its first member's start.
+    member_loads = loads.reshape(G, m).T
+    sq_lex = member_loads.ravel() ** 2
+    starts_lex = np.cumsum(sq_lex) - sq_lex
+    span_starts = starts_lex.reshape(m, G).T.ravel()
+    gbas = starts_lex[::G].copy()
 
     table = Table(rows=params.num_rows, s=s)
 
@@ -196,63 +185,47 @@ def construct(
         table.write_row(i, np.full(s, word, dtype=np.uint64))
 
     cols = np.arange(s, dtype=np.int64)
+    group_of_col = cols % m
     table.write_row(params.z_row, h.z[cols % r].astype(np.uint64))
-    table.write_row(params.gbas_row, gbas[cols % m].astype(np.uint64))
+    table.write_row(params.gbas_row, gbas[group_of_col].astype(np.uint64))
 
     # Group histograms: loads of members 0..G-1 of each group, unary.
-    # Bucket b is member b // m of group b % m, and s = G * m.
-    hist_rows = []
-    for j, member_loads in enumerate(loads.reshape(G, m).T.tolist()):
-        words = encode_unary_histogram(member_loads, params.word_bits)
-        if len(words) > rho:
-            raise ConstructionError(
-                f"histogram of group {j} needs {len(words)} words > rho={rho}"
-            )
-        hist_rows.append(words + [0] * (rho - len(words)))
-    hist_words = np.array(hist_rows, dtype=np.uint64).reshape(m, rho)
+    try:
+        hist_words = encode_unary_histogram_batch(
+            member_loads, params.word_bits, rho
+        )
+    except ParameterError:
+        needed = -(-(member_loads.sum(axis=1) + G) // params.word_bits)
+        if int(needed.max()) <= rho:
+            raise
+        j = int(np.argmax(needed > rho))
+        raise ConstructionError(
+            f"histogram of group {j} needs {int(needed[j])} words > rho={rho}"
+        ) from None
     for i, row in enumerate(params.histogram_rows):
-        table.write_row(row, hist_words[cols % m, i])
+        table.write_row(row, hist_words[group_of_col, i])
 
-    # Perfect-hash row and data row.  The loop only draws each occupied
-    # bucket's perfect hash, in bucket order (the construction's RNG
-    # order); each row is then written with one scatter.
-    inner: list = [None] * s
+    # Perfect-hash row and data row.  One bulk search draws every
+    # occupied bucket's perfect hash, in bucket order (the construction's
+    # RNG order); each row is then written with one scatter.
     key_order = np.argsort(hv, kind="stable")
     sorted_keys = keys[key_order]
     sorted_buckets = hv[key_order]
-    bounds = np.searchsorted(sorted_buckets, np.arange(s + 1)).tolist()
-    nonempty = np.nonzero(loads)[0]
-    inner_a, inner_c, phf_words = [], [], []
-    for b in nonempty.tolist():
-        lo, hi = bounds[b], bounds[b + 1]
-        h_star, _ = find_perfect_hash(
-            sorted_keys[lo:hi], prime, (hi - lo) ** 2, rng
-        )
-        inner[b] = h_star
-        inner_a.append(h_star.a)
-        inner_c.append(h_star.c)
-        phf_words.append(h_star.packed_word())
-    # Bucket b's perfect-hash word fills its whole span of load(b)**2 cells.
-    spans = sq[nonempty]
-    span_first = np.repeat(np.cumsum(spans) - spans, spans)
+    inner, inner_a, inner_c, slots = perfect_hash_buckets(
+        sorted_keys, loads, prime, rng
+    )
+    # Bucket b's perfect-hash word fills its whole span of load(b)**2
+    # cells; in lexicographic order the spans tile the row's prefix.
+    phf_words = np.zeros(s, dtype=np.uint64)
+    phf_words[np.flatnonzero(loads)] = pack_pair_batch(inner_a, inner_c)
     table.write_cells(
         params.phf_row,
-        np.repeat(span_starts[nonempty], spans)
-        + np.arange(int(spans.sum())) - span_first,
-        np.repeat(np.array(phf_words, dtype=np.uint64), spans),
+        np.arange(int(sq_lex.sum())),
+        np.repeat(phf_words.reshape(G, m).T.ravel(), sq_lex),
     )
-    # Key x of bucket b sits at span_start(b) + h*_b(x): every bucket's
-    # perfect hash evaluated in one pass over the bucket-sorted keys.
-    owner = np.repeat(np.arange(nonempty.size), loads[nonempty])
-    in_span = perfect_hash_eval(
-        prime,
-        np.array(inner_a, dtype=np.uint64)[owner],
-        np.array(inner_c, dtype=np.uint64)[owner],
-        sq[sorted_buckets].astype(np.uint64),
-        sorted_keys,
-    )
+    # Key x of bucket b sits at span_start(b) + h*_b(x).
     table.write_cells(
-        params.data_row, span_starts[sorted_buckets] + in_span, sorted_keys
+        params.data_row, span_starts[sorted_buckets] + slots, sorted_keys
     )
 
     return ConstructionResult(
@@ -262,7 +235,7 @@ def construct(
         h=h,
         loads=loads,
         group_loads=group_loads,
-        gbas=gbas.astype(np.int64),
+        gbas=gbas,
         span_starts=span_starts,
         inner=inner,
         trials=trials,

@@ -66,13 +66,15 @@ class LowContentionDictionary(StaticDictionary):
         self.params = self.construction.params
         self.table = self.construction.table
         self.prime = self.construction.prime
-        # Vectorized per-bucket inner-hash parameters for batch plans.
-        inner = self.construction.inner
-        self._inner_a = np.array(
-            [h.a if h else 0 for h in inner], dtype=np.uint64
-        )
-        self._inner_c = np.array(
-            [h.c if h else 0 for h in inner], dtype=np.uint64
+        # Vectorized per-bucket inner-hash parameters for batch plans: the
+        # search's (a, c), unpacked from the perfect-hash row that holds
+        # them at each occupied bucket's span start (0 for empty buckets).
+        con = self.construction
+        nonempty = np.flatnonzero(con.loads)
+        self._inner_a = np.zeros(self.params.s, dtype=np.uint64)
+        self._inner_c = np.zeros(self.params.s, dtype=np.uint64)
+        self._inner_a[nonempty], self._inner_c[nonempty] = unpack_pair_batch(
+            self.table._cells[self.params.phf_row, con.span_starts[nonempty]]
         )
 
     # -- honest query (reads only) -----------------------------------------------

@@ -30,6 +30,8 @@ import numpy as np
 from repro.cellprobe.steps import BatchStridedStep, ProbeStep, UniformStrided
 from repro.cellprobe.table import Table
 from repro.errors import ParameterError, QueryError
+from repro.hashing.perfect import perfect_hash_buckets
+from repro.utils.bits import pack_pair_batch
 from repro.utils.rng import as_generator
 
 
@@ -61,6 +63,48 @@ def write_interleaved_params(
     for j, word in enumerate(words):
         for k in range(replication):
             table.write(row, j + k * W, int(word))
+
+
+def write_perfect_hash_buckets(
+    table: Table,
+    rows: tuple[int, int, int],
+    bucket_of: np.ndarray,
+    keys: np.ndarray,
+    loads: np.ndarray,
+    offsets: np.ndarray,
+    prime: int,
+    rng,
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Level 2 of an FKS-style table: a perfect hash per non-empty bucket.
+
+    ``bucket_of[k]`` is the level-1 bucket of ``keys[k]``; bucket ``i``
+    owns ``loads[i]**2`` data cells from ``offsets[i]``.  One bulk search
+    (:func:`~repro.hashing.perfect.find_perfect_hashes`) draws every
+    non-empty bucket's perfect hash, in bucket order.  Then each of the
+    three ``rows`` is written with one scatter: header A holds every
+    bucket's ``(offset, load)``, header B each non-empty bucket's packed
+    ``(a, c)``, and the data row key ``x`` of bucket ``i`` at
+    ``offsets[i] + h*_i(x)``.
+
+    Returns ``(inner, inner_a, inner_c)``: each bucket's function (None
+    when empty) and the uint64 parameter arrays (0 when empty).
+    """
+    header_a, header_b, data_row = rows
+    num_buckets = loads.size
+    sorted_keys = np.asarray(keys)[np.argsort(bucket_of, kind="stable")]
+    inner, a, c, slots = perfect_hash_buckets(sorted_keys, loads, prime, rng)
+    nonempty = np.flatnonzero(loads)
+    table.write_cells(
+        header_a, np.arange(num_buckets), pack_pair_batch(offsets, loads)
+    )
+    table.write_cells(header_b, nonempty, pack_pair_batch(a, c))
+    columns = np.repeat(offsets[nonempty], loads[nonempty]) + slots
+    table.write_cells(data_row, columns, sorted_keys)
+    inner_a = np.zeros(num_buckets, dtype=np.uint64)
+    inner_c = np.zeros(num_buckets, dtype=np.uint64)
+    inner_a[nonempty] = a
+    inner_c[nonempty] = c
+    return inner, inner_a, inner_c
 
 
 def param_read_step(row: int, j: int, words: int, replication: int) -> UniformStrided:
@@ -216,10 +260,26 @@ class StaticDictionary(abc.ABC):
 
     @staticmethod
     def _sorted_keys(keys, universe_size: int) -> np.ndarray:
-        arr = np.asarray(sorted(int(k) for k in keys), dtype=np.int64)
+        """``keys`` as a sorted, checked int64 array (a new array).
+
+        A 1-D integer array is converted and sorted by NumPy; anything
+        else goes through ``int()`` key by key, as any iterable of
+        integer-likes may.  Keys beyond int64 raise OverflowError.
+        """
+        if (
+            isinstance(keys, np.ndarray)
+            and keys.ndim == 1
+            and keys.dtype.kind in "iu"
+            and (keys.dtype.kind == "i" or keys.size == 0
+                 or int(keys.max()) <= np.iinfo(np.int64).max)
+        ):
+            arr = keys.astype(np.int64)
+        else:
+            arr = np.array([int(k) for k in keys], dtype=np.int64)
+        arr.sort()
         if arr.size == 0:
             raise ParameterError("key set must be non-empty")
-        if np.unique(arr).size != arr.size:
+        if np.any(arr[1:] == arr[:-1]):
             raise ParameterError("keys must be distinct")
         if int(arr[0]) < 0 or int(arr[-1]) >= universe_size:
             raise ParameterError("keys must lie in [0, universe_size)")

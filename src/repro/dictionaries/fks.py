@@ -37,11 +37,12 @@ from repro.dictionaries.base import (
     read_interleaved_params_batch,
     resolve_replication,
     write_interleaved_params,
+    write_perfect_hash_buckets,
 )
 from repro.errors import ConstructionError
-from repro.hashing.perfect import PerfectHashFunction, find_perfect_hash
+from repro.hashing.perfect import PerfectHashFunction
 from repro.hashing.polynomial import horner_eval_batch
-from repro.utils.bits import pack_pair, unpack_pair, unpack_pair_batch
+from repro.utils.bits import unpack_pair, unpack_pair_batch
 from repro.utils.primes import field_prime_for_universe
 from repro.utils.rng import as_generator
 
@@ -122,31 +123,17 @@ class FKSDictionary(StaticDictionary):
             self.table, _PARAM_ROW, self.param_words, self.replication
         )
 
-        # Level-2: perfect hash per non-empty bucket; fill headers + data.
-        self.inner: list[PerfectHashFunction | None] = [None] * self.num_buckets
-        buckets = self.level1.buckets(self.keys)
-        for i in range(self.num_buckets):
-            load = int(self.loads[i])
-            self.table.write(
-                _HEADER_A_ROW, i, pack_pair(int(self.offsets[i]), load)
-            )
-            if load == 0:
-                continue
-            h_star, _ = find_perfect_hash(
-                buckets[i], self.prime, load * load, rng
-            )
-            self.inner[i] = h_star
-            self.table.write(_HEADER_B_ROW, i, h_star.packed_word())
-            base = int(self.offsets[i])
-            for key in buckets[i]:
-                self.table.write(_DATA_ROW, base + h_star(int(key)), int(key))
-
-        # Vectorized inner-hash parameter arrays for batch plans.
-        self._inner_a = np.array(
-            [h.a if h else 0 for h in self.inner], dtype=np.uint64
-        )
-        self._inner_c = np.array(
-            [h.c if h else 0 for h in self.inner], dtype=np.uint64
+        # Level 2: a perfect hash per non-empty bucket; headers and data.
+        self.inner: list[PerfectHashFunction | None]
+        self.inner, self._inner_a, self._inner_c = write_perfect_hash_buckets(
+            self.table,
+            (_HEADER_A_ROW, _HEADER_B_ROW, _DATA_ROW),
+            self.level1.eval_batch(self.keys),
+            self.keys,
+            self.loads,
+            self.offsets,
+            self.prime,
+            rng,
         )
 
     # -- queries -----------------------------------------------------------------

@@ -21,7 +21,11 @@ overflow — see :mod:`repro.utils.primes`).
 from repro.hashing.base import HashFamily, HashFunction
 from repro.hashing.dm import DMFamily, DMHashFunction
 from repro.hashing.multiply_shift import MultiplyShiftFamily
-from repro.hashing.perfect import PerfectHashFunction, find_perfect_hash
+from repro.hashing.perfect import (
+    PerfectHashFunction,
+    find_perfect_hash,
+    find_perfect_hashes,
+)
 from repro.hashing.planted import PlantedBlockFamily, PlantedBlockFunction
 from repro.hashing.polynomial import PolynomialFamily, PolynomialHashFunction
 from repro.hashing.tabulation import TabulationFamily
@@ -35,6 +39,7 @@ __all__ = [
     "DMHashFunction",
     "PerfectHashFunction",
     "find_perfect_hash",
+    "find_perfect_hashes",
     "MultiplyShiftFamily",
     "TabulationFamily",
     "PlantedBlockFamily",

@@ -8,6 +8,11 @@ expected <= 2 trials.  Both parameters are residues mod ``p < 2**31``, so
 ``(a, c)`` packs into one 64-bit table cell (:func:`repro.utils.bits.pack_pair`)
 — the paper stores "the perfect hash function h*_i ... repeatedly in the
 space owned by the bucket", one word per cell.
+
+A build searches all its buckets with one :func:`find_perfect_hashes`
+call, which draws in bulk but consumes exactly the random values of a
+bucket-by-bucket search (:func:`find_perfect_hash` is its one-bucket
+case).
 """
 
 from __future__ import annotations
@@ -93,6 +98,162 @@ class PerfectHashFunction(HashFunction):
         return np.unique(values).size == values.size
 
 
+def perfect_hash_functions(
+    prime: int, a, c, range_sizes
+) -> list[PerfectHashFunction]:
+    """One :class:`PerfectHashFunction` per ``(a[i], c[i], range_sizes[i])``.
+
+    The constructor's checks run once for the whole batch and the
+    functions are then made without re-checking, so a build's tens of
+    thousands of bucket functions cost no per-bucket primality test.
+    The parameters are stored as Python ints.
+    """
+    a = np.asarray(a).tolist()
+    c = np.asarray(c).tolist()
+    sizes = np.asarray(range_sizes).tolist()
+    if not is_prime(prime) or prime > MAX_VECTOR_PRIME:
+        raise ParameterError(f"invalid prime {prime}")
+    if a and not (0 <= min(min(a), min(c)) and max(max(a), max(c)) < prime):
+        raise ParameterError("parameters must lie in [0, prime)")
+    if sizes and min(sizes) < 1:
+        raise ParameterError("range_size must be positive")
+    out = []
+    new = object.__new__
+    cls = PerfectHashFunction
+    for ai, ci, size in zip(a, c, sizes):
+        h = new(cls)
+        h.prime, h.a, h.c, h.range_size = prime, ai, ci, size
+        out.append(h)
+    return out
+
+
+def find_perfect_hashes(
+    buckets,
+    prime: int,
+    rng: np.random.Generator,
+    max_trials: int = 1000,
+    range_sizes=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rejection-sample a perfect hash for every bucket, in bucket order.
+
+    ``buckets`` is a sequence of buckets, each an integer array or a list
+    of non-negative Python ints; bucket ``i`` is hashed into
+    ``[range_sizes[i]]``, by default its load squared (at least 1).
+    Returns ``(a, c, trials)``, int64 arrays of each bucket's parameters
+    and the trials it took.
+
+    The values drawn are exactly those of a bucket-by-bucket search that
+    makes one scalar ``rng.integers(0, prime)`` draw for ``a`` and one
+    for ``c`` per trial:
+
+    - every bucket takes at least one trial, so the first trial of every
+      bucket is drawn in one ``rng.integers(0, prime, size=2 * buckets)``
+      call without drawing past that search;
+    - a bucket that retries takes the next pair of the drawn stream; when
+      the stream runs out, one more call draws a pair per bucket still to
+      finish, and a last call draws the pairs the buckets after the last
+      retry still lack;
+    - an int64 ``integers`` draw of size k gives the same values and the
+      same generator state as k scalar draws, however the k are split;
+    - when a bucket exhausts ``max_trials``, the generator is rewound to
+      where the search began and exactly the values the bucket-by-bucket
+      search would have consumed are redrawn, so the generator state
+      after the :class:`ConstructionError` matches too.
+
+    A bucket of at most one key takes its first pair.  Injectivity on a
+    larger bucket is checked with Python ints on its keys (O(log n) of
+    them in the schemes that call this).
+    """
+    if not is_prime(prime) or prime > MAX_VECTOR_PRIME:
+        raise ParameterError(f"invalid prime {prime}")
+    count = len(buckets)
+    loads = [len(b) for b in buckets]
+    if range_sizes is not None:
+        range_sizes = [int(r) for r in range_sizes]
+        for load, size in zip(loads, range_sizes):
+            if size < max(1, load):
+                raise ParameterError(
+                    f"range_size={size} cannot perfectly hash {load} keys"
+                )
+    trials = np.ones(count, dtype=np.int64)
+    if count == 0:
+        return trials[:0], trials[:0], trials
+    start_state = rng.bit_generator.state
+    chunks = [rng.integers(0, prime, size=2 * count)]
+    stream = chunks[0].tolist()
+    failed = []  # stream pairs of failed trials, in stream order
+    for i, load in enumerate(loads):
+        if load <= 1:
+            continue
+        keys = buckets[i]
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        size = load * load if range_sizes is None else range_sizes[i]
+        pair = i + len(failed)  # bucket i's first trial
+        for trial in range(1, max_trials + 1):
+            while 2 * pair >= len(stream):
+                chunks.append(rng.integers(0, prime, size=2 * (count - i)))
+                stream.extend(chunks[-1].tolist())
+            a, c = stream[2 * pair], stream[2 * pair + 1]
+            # (a*x + c) mod p equals (a*(x mod p) + c) mod p for Python ints.
+            if len({(a * x + c) % prime % size for x in keys}) == load:
+                break
+            failed.append(pair)
+            pair += 1
+        else:
+            rng.bit_generator.state = start_state
+            rng.integers(0, prime, size=2 * pair)
+            raise ConstructionError(
+                f"no perfect hash found for {load} keys into [{size}] "
+                f"after {max_trials} trials"
+            )
+        if trial > 1:
+            trials[i] = trial
+    short = 2 * (count + len(failed)) - len(stream)
+    if short > 0:  # the buckets after the last retry still need their pairs
+        chunks.append(rng.integers(0, prime, size=short))
+    pairs = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    pairs = pairs.reshape(-1, 2)
+    if failed:
+        pairs = np.delete(pairs, failed, axis=0)
+    return pairs[:, 0], pairs[:, 1], trials
+
+
+def perfect_hash_buckets(
+    sorted_keys: np.ndarray, loads: np.ndarray, prime: int, rng
+) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Perfect-hash every bucket of keys grouped by bucket.
+
+    ``sorted_keys`` holds bucket 0's ``loads[0]`` keys, then bucket 1's,
+    and so on; the non-empty buckets are searched in bucket order by one
+    :func:`find_perfect_hashes` call, each into ``load**2`` cells.
+    Returns ``(inner, a, c, slots)``: ``inner[i]`` is bucket ``i``'s
+    function (None when empty), ``a`` and ``c`` the int64 parameters of
+    the non-empty buckets, and ``slots[k]`` the cell of ``sorted_keys[k]``
+    within its bucket's span, all evaluated in one pass.
+    """
+    loads = np.asarray(loads, dtype=np.int64)
+    nonempty = np.flatnonzero(loads)
+    ends = np.cumsum(loads[nonempty]).tolist()
+    key_list = np.asarray(sorted_keys).tolist()
+    a, c, _ = find_perfect_hashes(
+        [key_list[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)], prime, rng
+    )
+    counts = loads[nonempty]
+    spans = counts * counts
+    inner: list = [None] * len(loads)
+    functions = perfect_hash_functions(prime, a, c, spans)
+    for i, h in zip(nonempty.tolist(), functions):
+        inner[i] = h
+    per_key = np.repeat(
+        np.array((a, c, spans), dtype=np.uint64), counts, axis=1
+    )
+    slots = perfect_hash_eval(
+        prime, per_key[0], per_key[1], per_key[2], sorted_keys
+    )
+    return inner, a, c, slots
+
+
 def find_perfect_hash(
     keys: np.ndarray,
     prime: int,
@@ -105,20 +266,11 @@ def find_perfect_hash(
     Returns ``(function, trials_used)``.  With ``range_size >= len(keys)**2``
     the expected number of trials is <= 2; ``max_trials`` is a safety net
     whose exhaustion (probability <= 2**-max_trials under correct sizing)
-    raises :class:`ConstructionError`.
+    raises :class:`ConstructionError`.  The one-bucket case of
+    :func:`find_perfect_hashes`.
     """
-    keys = np.asarray(keys)
-    if range_size < max(1, keys.size):
-        raise ParameterError(
-            f"range_size={range_size} cannot perfectly hash {keys.size} keys"
-        )
-    for trial in range(1, max_trials + 1):
-        a = int(rng.integers(0, prime))
-        c = int(rng.integers(0, prime))
-        h = PerfectHashFunction(prime, a, c, range_size)
-        if h.is_perfect_on(keys):
-            return h, trial
-    raise ConstructionError(
-        f"no perfect hash found for {keys.size} keys into [{range_size}] "
-        f"after {max_trials} trials"
+    a, c, trials = find_perfect_hashes(
+        [np.asarray(keys)], prime, rng, max_trials, [range_size]
     )
+    (h,) = perfect_hash_functions(prime, a, c, [range_size])
+    return h, int(trials[0])

@@ -25,7 +25,7 @@ from repro.core.dictionary import LowContentionDictionary
 from repro.core.params import SchemeParameters
 from repro.errors import ParameterError
 from repro.hashing.dm import DMHashFunction
-from repro.hashing.perfect import PerfectHashFunction
+from repro.hashing.perfect import perfect_hash_functions
 from repro.hashing.polynomial import PolynomialHashFunction
 
 #: Format version written into every archive.
@@ -56,12 +56,6 @@ def save_dictionary(dictionary: LowContentionDictionary, path) -> None:
             "word_bits": p.word_bits,
         },
     }
-    inner_a = np.array(
-        [h.a if h else 0 for h in con.inner], dtype=np.int64
-    )
-    inner_c = np.array(
-        [h.c if h else 0 for h in con.inner], dtype=np.int64
-    )
     np.savez_compressed(
         pathlib.Path(path),
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -74,8 +68,8 @@ def save_dictionary(dictionary: LowContentionDictionary, path) -> None:
         group_loads=con.group_loads,
         gbas=con.gbas,
         span_starts=con.span_starts,
-        inner_a=inner_a,
-        inner_c=inner_c,
+        inner_a=dictionary._inner_a.astype(np.int64),
+        inner_c=dictionary._inner_c.astype(np.int64),
         hist_words=con.hist_words,
     )
 
@@ -107,14 +101,20 @@ def load_dictionary(path) -> LowContentionDictionary:
         for row in range(params.num_rows):
             table.write_row(row, cells[row])
         loads = archive["loads"]
-        inner = [
-            PerfectHashFunction(
-                prime, int(a), int(c), max(int(l) * int(l), 1)
-            )
-            if l > 0
-            else None
-            for a, c, l in zip(archive["inner_a"], archive["inner_c"], loads)
-        ]
+        inner_a = archive["inner_a"].astype(np.uint64)
+        inner_c = archive["inner_c"].astype(np.uint64)
+        nonempty = np.flatnonzero(loads > 0)
+        inner = [None] * len(loads)
+        for b, h_star in zip(
+            nonempty.tolist(),
+            perfect_hash_functions(
+                prime,
+                inner_a[nonempty],
+                inner_c[nonempty],
+                loads[nonempty].astype(np.int64) ** 2,
+            ),
+        ):
+            inner[b] = h_star
         con = ConstructionResult(
             params=params,
             prime=prime,
@@ -135,10 +135,6 @@ def load_dictionary(path) -> LowContentionDictionary:
         d.params = params
         d.table = table
         d.prime = prime
-        d._inner_a = np.array(
-            [h_.a if h_ else 0 for h_ in inner], dtype=np.uint64
-        )
-        d._inner_c = np.array(
-            [h_.c if h_ else 0 for h_ in inner], dtype=np.uint64
-        )
+        d._inner_a = inner_a
+        d._inner_c = inner_c
         return d

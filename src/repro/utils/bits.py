@@ -59,6 +59,58 @@ def encode_unary_histogram(
     return [(big >> (i * word_bits)) & mask for i in range(nwords)]
 
 
+def encode_unary_histogram_batch(
+    loads: np.ndarray, word_bits: int = WORD_BITS, num_words: int | None = None
+) -> np.ndarray:
+    """Encode a batch of load vectors at once.
+
+    ``loads`` has shape ``(batch, buckets)``; the return value has shape
+    ``(batch, num_words)`` (uint64), row ``i`` holding the words of
+    :func:`encode_unary_histogram` of ``loads[i]`` followed by zero words.
+    ``num_words`` defaults to the longest row's word count; a row that
+    needs more words raises :class:`ParameterError`.  A word with a set
+    bit at position 64 or above cannot be stored and raises
+    :class:`ParameterError`.
+    """
+    if word_bits < 1:
+        raise ParameterError("word_bits must be positive")
+    loads = np.asarray(loads, dtype=np.int64)
+    if loads.ndim != 2:
+        raise ParameterError(
+            f"loads must be 2-D (batch, buckets), got {loads.ndim}-D"
+        )
+    if loads.size and int(loads.min()) < 0:
+        raise ParameterError("loads must be non-negative")
+    batch, buckets = loads.shape
+    # Row i's stream is nbits[i] bits: all ones except a zero separator
+    # after each load, at the running sum of (load + 1) minus one.
+    ends = np.cumsum(loads + 1, axis=1)
+    nbits = ends[:, -1] if buckets else np.zeros(batch, dtype=np.int64)
+    longest = -(-int(nbits.max(initial=0)) // word_bits)
+    if num_words is None:
+        num_words = longest
+    elif longest > num_words:
+        row = int(np.argmax(nbits > num_words * word_bits))
+        raise ParameterError(
+            f"row {row} needs {-(-int(nbits[row]) // word_bits)} words "
+            f"> {num_words}"
+        )
+    width = num_words * word_bits
+    bits = np.arange(width) < nbits[:, None]
+    bits[np.arange(batch)[:, None], ends - 1] = False
+    if word_bits in (8, 16, 32, 64):
+        # Little-endian bytes of each row are its words, low word first.
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        return packed.view(f"<u{word_bits // 8}").astype(np.uint64)
+    bits = bits.reshape(batch, num_words, word_bits)
+    if word_bits > 64:
+        if bits[:, :, 64:].any():
+            raise ParameterError("histogram word does not fit in 64 bits")
+        bits = bits[:, :, :64]
+    shifts = np.arange(bits.shape[2], dtype=np.uint64)
+    return (bits.astype(np.uint64) << shifts).sum(axis=2, dtype=np.uint64)
+
+
 def decode_unary_histogram(
     words: Sequence[int], num_buckets: int, word_bits: int = WORD_BITS
 ) -> list[int]:
@@ -169,6 +221,21 @@ def pack_pair(a: int, b: int, half_bits: int = 31) -> int:
             f"pack_pair operands must be in [0, 2**{half_bits}): got {a}, {b}"
         )
     return (a << half_bits) | b
+
+
+def pack_pair_batch(
+    a: np.ndarray, b: np.ndarray, half_bits: int = 31
+) -> np.ndarray:
+    """Vectorized :func:`pack_pair`: one uint64 word per ``(a[i], b[i])``."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    # A negative int64 keeps its sign bits after the shift, so one test
+    # covers both ends of [0, 2**half_bits).
+    if ((a | b) >> half_bits).any():
+        raise ParameterError(
+            f"pack_pair operands must be in [0, 2**{half_bits})"
+        )
+    return (a << half_bits | b).astype(np.uint64)
 
 
 def unpack_pair(word: int, half_bits: int = 31) -> tuple[int, int]:

@@ -127,3 +127,16 @@ class TestValidation:
     def test_params_n_mismatch(self, keys, universe_size):
         with pytest.raises(ConstructionError):
             construct(keys, universe_size, SchemeParameters(n=keys.size + 1))
+
+
+def test_histogram_wider_than_rho_names_the_first_group():
+    """A group histogram that needs more than rho words is rejected with
+    the first such group; the text is the one the per-group encoder
+    loop raised."""
+    keys = np.random.default_rng(4).choice(1 << 20, size=300, replace=False)
+    params = SchemeParameters(n=300, word_bits=8)
+    object.__setattr__(params, "rho", 3)  # 7 words fit the bound
+    with pytest.raises(
+        ConstructionError, match=r"^histogram of group 11 needs 4 words > rho=3$"
+    ):
+        construct(keys, 1 << 20, params, np.random.default_rng(0))

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.cellprobe import CellProbeMachine
+from repro.dictionaries.base import StaticDictionary
+from repro.errors import ParameterError
 
 SCHEMES = [
     "low-contention",
@@ -100,3 +102,64 @@ def test_query_determinism_of_answers(scheme, keys, rng):
     x = int(keys[7])
     answers = {scheme.query(x, np.random.default_rng(s)) for s in range(10)}
     assert answers == {True}
+
+
+def _reference_sorted_keys(keys, universe_size):
+    """The per-key ``sorted(int(k) ...)`` check ``_sorted_keys`` replaced."""
+    arr = np.asarray(sorted(int(k) for k in keys), dtype=np.int64)
+    if arr.size == 0:
+        raise ParameterError("key set must be non-empty")
+    if np.unique(arr).size != arr.size:
+        raise ParameterError("keys must be distinct")
+    if int(arr[0]) < 0 or int(arr[-1]) >= universe_size:
+        raise ParameterError("keys must lie in [0, universe_size)")
+    return arr
+
+
+def _outcome(fn, make_keys, universe):
+    try:
+        arr = fn(make_keys(), universe)
+    except (ParameterError, OverflowError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return arr.dtype, arr.tolist()
+
+
+def test_sorted_keys_matches_reference_on_every_input_kind():
+    """Same keys or the same error, whatever container or dtype holds them."""
+    local = np.random.default_rng(5)
+    universe = 1000
+    values = [
+        [], [7], [3, 1, 2], [5, 5], [4, 2, 4], [-1, 3], [2, universe],
+        [0, universe - 1],
+        local.choice(universe, size=200, replace=False).tolist(),
+        local.integers(0, universe, size=50).tolist(), [250, 17, 999, 0],
+    ]
+    kinds = {
+        "list": list,
+        "tuple": tuple,
+        "set": set,
+        "generator": lambda v: (x for x in v),
+        "float array": lambda v: np.array(v, dtype=np.float64),
+        "bool array": lambda v: np.array([bool(x) for x in v]),
+        "2-D array": lambda v: np.array(v, dtype=np.int64).reshape(-1, 1),
+    }
+    for dtype in ("int8", "int16", "int32", "int64",
+                  "uint8", "uint16", "uint32", "uint64"):
+        kinds[dtype] = lambda v, dt=dtype: np.array(v).astype(dt)
+    for name, make in kinds.items():
+        for v in values:
+            new = _outcome(
+                StaticDictionary._sorted_keys, lambda: make(v), universe
+            )
+            ref = _outcome(_reference_sorted_keys, lambda: make(v), universe)
+            assert new == ref, (name, v)
+    huge = np.array([1, (1 << 63) + 5], dtype=np.uint64)
+    assert _outcome(StaticDictionary._sorted_keys, lambda: huge, 1 << 62) == (
+        _outcome(_reference_sorted_keys, lambda: huge, 1 << 62)
+    )
+
+
+def test_sorted_keys_leaves_the_input_alone():
+    keys = np.array([9, 3, 5], dtype=np.int64)
+    out = StaticDictionary._sorted_keys(keys, 10)
+    assert out.tolist() == [3, 5, 9] and keys.tolist() == [9, 3, 5]

@@ -48,6 +48,13 @@ def test_e1_contention_is_near_optimal():
         assert row["max_step_phi"] <= (row["predicted_bound*s"] + 5e-4) / row["s"]
 
 
+def test_e4_trials_stay_constant():
+    """Section 2.2: P(S) holds with probability >= 1/2 - o(1) per draw,
+    so the mean number of trials stays a small constant at every n."""
+    result = run_experiment("E4", fast=True, seed=0)
+    assert max(row["mean_trials"] for row in result.rows) < 4
+
+
 def test_e5_ranking_matches_paper():
     result = run_experiment("E5", fast=True, seed=0)
     by_scheme = {}

@@ -49,6 +49,23 @@ class TestRoundTrip:
         for x in keys[:10]:
             assert machine.run_query(int(x), rng).answer
 
+    def test_perfect_hashes_identical(self, lcd, saved_path):
+        loaded = load_dictionary(saved_path)
+        for name in ("_inner_a", "_inner_c"):
+            got, want = getattr(loaded, name), getattr(lcd, name)
+            assert got.dtype == want.dtype == np.uint64
+            assert np.array_equal(got, want)
+        got, want = loaded.construction.inner, lcd.construction.inner
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert (g.prime, g.a, g.c, g.range_size) == (
+                    w.prime, w.a, w.c, w.range_size
+                )
+                assert type(g.a) is int and type(g.c) is int
+
     def test_params_preserved(self, lcd, saved_path):
         loaded = load_dictionary(saved_path)
         assert loaded.params == lcd.params
