@@ -52,6 +52,20 @@ class Table:
                 f"{self.rows * self.s}"
             )
 
+    @classmethod
+    def from_cells(cls, cells: np.ndarray, writes: int) -> "Table":
+        """A table over built ``cells`` (a ``(rows, s)`` uint64 array).
+
+        ``writes`` is the construction writes that built them; the table
+        gets a fresh counter.  The cells are taken, not copied.
+        """
+        table = cls.__new__(cls)
+        table.rows, table.s = cells.shape
+        table._cells = cells
+        table.writes = int(writes)
+        table.counter = ProbeCounter(table.rows * table.s)
+        return table
+
     # -- construction-time access (free) ------------------------------------
 
     def write(self, row: int, column: int, value: int) -> None:

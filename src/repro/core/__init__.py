@@ -19,7 +19,11 @@ linear space, constant probes, and contention O(1/n) on *every* cell at
   to compare measured against predicted.
 """
 
-from repro.core.construction import ConstructionResult, construct
+from repro.core.construction import (
+    ConstructionResult,
+    construct,
+    construct_lockstep,
+)
 from repro.core.dictionary import LowContentionDictionary
 from repro.core.params import SchemeParameters
 from repro.core.verification import verify_dictionary, verify_table
@@ -27,6 +31,7 @@ from repro.core.verification import verify_dictionary, verify_table
 __all__ = [
     "SchemeParameters",
     "construct",
+    "construct_lockstep",
     "ConstructionResult",
     "LowContentionDictionary",
     "verify_table",

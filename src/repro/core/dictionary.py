@@ -29,7 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cellprobe.steps import BatchStridedStep, FixedCell, ProbeStep, UniformStrided
-from repro.core.construction import ConstructionResult, construct
+from repro.core.construction import (
+    ConstructionResult,
+    construct,
+    construct_lockstep,
+)
 from repro.core.params import SchemeParameters
 from repro.dictionaries.base import StaticDictionary
 from repro.hashing.perfect import PerfectHashFunction
@@ -60,21 +64,56 @@ class LowContentionDictionary(StaticDictionary):
         self.keys = self._sorted_keys(keys, self.universe_size)
         if params is None:
             params = SchemeParameters(n=self.n)
-        self.construction: ConstructionResult = construct(
-            self.keys, self.universe_size, params, rng, max_trials
+        self._adopt(
+            construct(self.keys, self.universe_size, params, rng, max_trials)
         )
-        self.params = self.construction.params
-        self.table = self.construction.table
-        self.prime = self.construction.prime
+
+    @classmethod
+    def build_lockstep(
+        cls,
+        keys,
+        universe_size: int,
+        rngs,
+        params: SchemeParameters | None = None,
+        max_trials: int = 500,
+    ) -> list["LowContentionDictionary"]:
+        """One dictionary over ``keys`` per generator, built in one pass.
+
+        Dictionary ``i`` is the one ``LowContentionDictionary(keys,
+        universe_size, rngs[i], params, max_trials)`` builds, and shares
+        no object with the others (see :func:`construct_lockstep`).
+        """
+        universe_size = int(universe_size)
+        keys = cls._sorted_keys(keys, universe_size)
+        if params is None:
+            params = SchemeParameters(n=int(keys.size))
+        built = []
+        for i, con in enumerate(
+            construct_lockstep(keys, universe_size, params, rngs, max_trials)
+        ):
+            d = cls.__new__(cls)
+            d.universe_size = universe_size
+            d.keys = keys if i == 0 else keys.copy()
+            d._adopt(con)
+            built.append(d)
+        return built
+
+    def _adopt(self, construction: ConstructionResult) -> None:
+        """Take a built table and its private state."""
+        self.construction = construction
+        self.params = construction.params
+        self.table = construction.table
+        self.prime = construction.prime
         # Vectorized per-bucket inner-hash parameters for batch plans: the
         # search's (a, c), unpacked from the perfect-hash row that holds
         # them at each occupied bucket's span start (0 for empty buckets).
-        con = self.construction
-        nonempty = np.flatnonzero(con.loads)
+        nonempty = np.flatnonzero(construction.loads)
         self._inner_a = np.zeros(self.params.s, dtype=np.uint64)
         self._inner_c = np.zeros(self.params.s, dtype=np.uint64)
         self._inner_a[nonempty], self._inner_c[nonempty] = unpack_pair_batch(
-            self.table._cells[self.params.phf_row, con.span_starts[nonempty]]
+            self.table._cells[
+                self.params.phf_row, construction.span_starts[nonempty]
+            ]
         )
 
     # -- honest query (reads only) -----------------------------------------------

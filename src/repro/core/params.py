@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.cellprobe.table import CELL_BITS
 from repro.errors import ParameterError
 from repro.utils.bits import WORD_BITS
 
@@ -46,7 +47,7 @@ class SchemeParameters:
     beta:
         Space factor, s ~ beta n; must be >= 2.
     word_bits:
-        Cell width b (default 64).
+        Cell width b (default 64, at most the table's 64-bit cells).
     """
 
     n: int
@@ -89,6 +90,10 @@ class SchemeParameters:
             raise ParameterError("beta must be >= 2")
         if self.word_bits < 8:
             raise ParameterError("word_bits must be >= 8")
+        if self.word_bits > CELL_BITS:
+            raise ParameterError(
+                f"word_bits must be <= {CELL_BITS}, the table's cell width"
+            )
 
         n = self.n
         r = max(2, round(n ** (1.0 - delta)))

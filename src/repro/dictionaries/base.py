@@ -58,11 +58,16 @@ def resolve_replication(param_replication, s: int, words: int) -> int:
 def write_interleaved_params(
     table: Table, row: int, words: Sequence[int], replication: int
 ) -> None:
-    """Store ``words[j]`` at columns ``j + k*W`` for ``k < replication``."""
-    W = len(words)
-    for j, word in enumerate(words):
-        for k in range(replication):
-            table.write(row, j + k * W, int(word))
+    """Store ``words[j]`` at columns ``j + k*W`` for ``k < replication``.
+
+    The columns ``j + k*W`` are ``0 .. W*replication - 1`` in order, so
+    the row is written with one scatter: the cells and ``writes`` of one
+    :meth:`~repro.cellprobe.table.Table.write` per column.
+    """
+    words = [int(w) for w in words]
+    table.write_cells(
+        row, np.arange(len(words) * replication), words * replication
+    )
 
 
 def write_perfect_hash_buckets(

@@ -63,17 +63,28 @@ class DynamicLowContentionDictionary:
 
     def insert(self, key: int) -> None:
         """Insert ``key`` (idempotent)."""
-        key = self._check_update_key(key)
-        self.account.record_update()
-        if not self._levels.state_of(key):
-            self._levels.apply(key, True)
+        self.update_lockstep([self], key, True)
 
     def delete(self, key: int) -> None:
         """Delete ``key`` (no-op when absent)."""
-        key = self._check_update_key(key)
-        self.account.record_update()
-        if self._levels.state_of(key):
-            self._levels.apply(key, False)
+        self.update_lockstep([self], key, False)
+
+    @staticmethod
+    def update_lockstep(replicas, key: int, is_insert: bool) -> None:
+        """Apply one update to replicas that hold the same key set.
+
+        Every replica records the update; those whose state it changes
+        apply it together (:meth:`LevelStructure.apply_lockstep`), so a
+        level the update rebuilds is built once for all of them.  Each
+        replica ends as the update applied to it alone leaves it.
+        """
+        movers = []
+        for d in replicas:
+            key = d._check_update_key(key)
+            d.account.record_update()
+            if d._levels.state_of(key) != is_insert:
+                movers.append(d._levels)
+        LevelStructure.apply_lockstep(movers, key, bool(is_insert))
 
     # -- queries ---------------------------------------------------------------------
 

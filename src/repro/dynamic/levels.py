@@ -25,6 +25,12 @@ moves it by the one key whose state it changes, so the flatten test
 costs O(1) and the Θ(n) ``live_keys()`` scan runs only when a flatten
 fires.  Code that assigns ``levels`` directly must call
 :meth:`LevelStructure.recount` afterwards.
+
+Replicas that apply one log hold the same entries; only their random
+draws differ.  :meth:`LevelStructure.apply_lockstep` applies an operation
+to all of them, building each level it installs once for all replicas,
+each drawing from its own generator; :meth:`LevelStructure.apply` is its
+one-structure case.
 """
 
 from __future__ import annotations
@@ -77,6 +83,32 @@ class SingletonDictionary(StaticDictionary):
         x = self.check_key(x)
         rng = as_generator(rng)
         return self.table.read(0, int(rng.integers(0, self.table.s)), 0) == x
+
+    def query_batch(self, xs, rng=None) -> np.ndarray:
+        """The scalar query of every key in one round.
+
+        One ``(1, b)`` draw gives the b scalar draws' cells and generator
+        state, and one :meth:`~repro.cellprobe.table.Table.read_round`
+        charges them at step 0.  A key outside the universe raises the
+        scalar query's :class:`QueryError` after the keys before it have
+        drawn and been charged, as the scalar loop leaves them.
+        """
+        rng = as_generator(rng)
+        xs = np.asarray(xs, dtype=np.int64)
+        flat = xs.ravel()
+        outside = (flat < 0) | (flat >= self.universe_size)
+        b = int(np.argmax(outside)) if outside.any() else flat.size
+        found = np.zeros(flat.size, dtype=bool)
+        if b:
+            cells = self.table.read_round(
+                np.zeros(1, dtype=np.int64),
+                rng.integers(0, self.table.s, size=(1, b)),
+                0,
+            )[0]
+            found[:b] = cells == flat[:b].astype(np.uint64)
+        if b < flat.size:
+            self.check_key(flat[b])
+        return found.reshape(xs.shape)
 
     def probe_plan(self, x):
         from repro.cellprobe.steps import UniformStrided
@@ -176,6 +208,10 @@ class LevelStructure:
         # Telemetry labels, settable by the serving wrapper.
         self.shard = 0
         self.replica = 0
+        # Inside apply_lockstep a level owed is recorded here as
+        # ``(index, entries)`` and built with its peers'; outside, at once.
+        self._lockstep = False
+        self._owed: tuple[int, dict] | None = None
 
     # -- state queries (no probes; used for ground truth & merging) -----------------
 
@@ -212,18 +248,31 @@ class LevelStructure:
     def nonempty_levels(self) -> list[Level]:
         return [lv for lv in self.levels if lv is not None]
 
+    def _config(self) -> tuple:
+        """What a level build depends on besides its entries and rng."""
+        return (self.encoded_universe, self.min_level_width, self.max_trials)
+
     # -- structure building ------------------------------------------------------------
 
-    def _build_structure(self, entries: dict) -> StaticDictionary:
+    def _build_structures(self, entries: dict, rngs: list) -> list[StaticDictionary]:
+        """The static structure over ``entries`` once per generator.
+
+        Structure ``i`` is the one ``rngs[i]`` alone would build; a level
+        of two or more entries is built for all of them in one lockstep
+        construction (:meth:`LowContentionDictionary.build_lockstep`).
+        """
         encoded = [
             encode_insert(k) if ins else encode_delete(k)
             for k, ins in entries.items()
         ]
         if len(encoded) == 1:
             width = max(64, self.min_level_width)
-            return SingletonDictionary(
-                encoded, self.encoded_universe, self.rng, width=width
-            )
+            return [
+                SingletonDictionary(
+                    encoded, self.encoded_universe, rng, width=width
+                )
+                for rng in rngs
+            ]
         params = None
         if self.min_level_width > 2 * len(encoded):
             from repro.core import SchemeParameters
@@ -232,15 +281,26 @@ class LevelStructure:
                 n=len(encoded),
                 beta=self.min_level_width / len(encoded),
             )
-        return LowContentionDictionary(
-            encoded, self.encoded_universe, rng=self.rng,
+        return LowContentionDictionary.build_lockstep(
+            encoded, self.encoded_universe, rngs,
             params=params, max_trials=self.max_trials,
         )
 
-    def _install(self, index: int, entries: dict) -> None:
+    def _install(
+        self,
+        index: int,
+        entries: dict,
+        structure: StaticDictionary | None = None,
+    ) -> None:
+        """Link ``structure``, built over ``entries``, as level ``index``.
+
+        ``structure`` defaults to one built from this structure's own
+        generator.
+        """
+        if structure is None:
+            (structure,) = self._build_structures(entries, [self.rng])
         while len(self.levels) <= index:
             self.levels.append(None)
-        structure = self._build_structure(entries)
         probes = 0
         rebuild_counter = None
         if self.verify_rebuilds:
@@ -297,7 +357,48 @@ class LevelStructure:
 
     def apply(self, key: int, is_insert: bool) -> None:
         """Apply one operation via binary-counter carrying."""
+        self.apply_lockstep([self], key, is_insert)
+
+    @staticmethod
+    def apply_lockstep(structures, key: int, is_insert: bool) -> None:
+        """Apply one operation to structures that hold the same entries.
+
+        Each structure does its own carry and flatten bookkeeping
+        (:meth:`_carry`, :meth:`_maybe_flatten`), which only records the
+        level it owes; each level owed is then built once for all the
+        structures owing it, from each one's own generator
+        (:func:`_install_owed`).  A structure's levels, tables and
+        generator state end as :meth:`apply` on it alone leaves them.
+        """
         key = int(key)
+        for levels in structures:
+            levels._lockstep = True
+        try:
+            for levels in structures:
+                levels._carry(key, is_insert)
+            _install_owed(structures)
+            for levels in structures:
+                levels._maybe_flatten()
+            _install_owed(structures)
+        finally:
+            for levels in structures:
+                levels._lockstep = False
+                levels._owed = None
+
+    def _owe(self, index: int, entries: dict) -> None:
+        """Install level ``index`` over ``entries`` now, or record it for
+        :func:`_install_owed` inside :meth:`apply_lockstep`."""
+        if self._lockstep:
+            self._owed = (index, entries)
+        else:
+            self._install(index, entries)
+
+    def _carry(self, key: int, is_insert: bool) -> None:
+        """Merge the operation with levels 0..j-1 and owe level j.
+
+        j is the first empty level.  The merged levels are retired and
+        unlinked (:meth:`_owe` installs the merge).
+        """
         if not 0 <= key < self.universe_size:
             raise ParameterError(f"key {key} outside universe")
         # Only this key changes state, so the live count moves by its
@@ -320,10 +421,11 @@ class LevelStructure:
         if nothing_older:
             merged = {k: ins for k, ins in merged.items() if ins}
         if merged:
-            self._install(j, merged)
-        self._maybe_flatten()
+            self._owe(j, merged)
 
     def _maybe_flatten(self) -> None:
+        """Flatten when dead weight makes the entries exceed twice the
+        live count: unlink every level and owe one of the live keys."""
         total = self.total_entries
         if total >= 8 and total > 2 * max(self._live, 1):
             live = self.live_keys()
@@ -334,4 +436,26 @@ class LevelStructure:
                 # Land the flattened set at the level matching its size,
                 # keeping the capacity discipline (level j holds ~2^j).
                 index = max(0, int(np.ceil(np.log2(len(live)))))
-                self._install(index, {k: True for k in live})
+                self._owe(index, {k: True for k in live})
+
+
+def _install_owed(structures) -> None:
+    """Build and link every level the structures owe.
+
+    Structures that owe the same level (same index and entries) under
+    the same configuration share one build, in which each draws from its
+    own generator; each links its structure in the order given.
+    """
+    owing = [ls for ls in structures if ls._owed is not None]
+    while owing:
+        lead = owing[0]
+        group = [
+            ls for ls in owing
+            if ls._owed == lead._owed and ls._config() == lead._config()
+        ]
+        built = lead._build_structures(lead._owed[1], [ls.rng for ls in group])
+        for ls, structure in zip(group, built):
+            index, entries = ls._owed
+            ls._owed = None
+            ls._install(index, entries, structure)
+        owing = [ls for ls in owing if ls._owed is not None]

@@ -118,6 +118,20 @@ def _query_batch_levels(levels, xs: np.ndarray, rng) -> np.ndarray:
     return answers
 
 
+def _apply_ops(replicas, ops) -> None:
+    """Apply ``ops`` in order, each to all of ``replicas`` in lockstep.
+
+    Replicas that apply one log hold the same entries, so each op's
+    rebuilds are built once for all of them, each replica drawing from
+    its own stream (:meth:`DynamicLowContentionDictionary.update_lockstep`).
+    A replica's state depends only on its log and its stream, so it ends
+    as applying the ops to it alone would leave it; only the interleaving
+    of different replicas' rebuild events and retirements differs.
+    """
+    for k, ins in ops:
+        DynamicLowContentionDictionary.update_lockstep(replicas, k, ins)
+
+
 class ReplicatedDynamicDictionary:
     """R lockstep dynamic replicas with voted reads and epoch versioning."""
 
@@ -195,24 +209,21 @@ class ReplicatedDynamicDictionary:
         return self.apply(key, False)
 
     def apply_batch(self, ops) -> int:
-        """Apply a micro-batched update group in replica-lockstep order.
+        """Apply a micro-batched update group in lockstep, op by op.
 
-        Every live replica applies the whole group, in replica index
-        order, before the epoch advances **once** — the group is one
-        atomic version step for pinned readers.
+        Each op is applied to every live replica before the next
+        (:func:`_apply_ops`), and the epoch advances **once** after the
+        whole group — the group is one atomic version step for pinned
+        readers.
         """
         ops = [(int(k), bool(ins)) for k, ins in ops]
         for k, _ in ops:
             if not 0 <= k < self.universe_size:
                 raise ParameterError(f"key {k} outside universe")
-        for r, d in enumerate(self._replicas):
-            if r in self._crashed:
-                continue
-            for k, ins in ops:
-                if ins:
-                    d.insert(k)
-                else:
-                    d.delete(k)
+        _apply_ops(
+            [d for r, d in enumerate(self._replicas) if r not in self._crashed],
+            ops,
+        )
         self._log.append(tuple(ops))
         return self.epochs.advance()
 
@@ -277,11 +288,7 @@ class ReplicatedDynamicDictionary:
         else:
             d = self._fresh_replica(r)
         for group in self._log:
-            for k, ins in group:
-                if ins:
-                    d.insert(k)
-                else:
-                    d.delete(k)
+            _apply_ops([d], group)
         self._replicas[r] = d
         self._crashed.discard(r)
         self.fault_stats.rebuilds += 1
@@ -456,12 +463,7 @@ class ReplicatedDynamicDictionary:
         replayed = 0
         for group in payload.get("suffix", []):
             ops = [(int(k), bool(ins)) for k, ins in group]
-            for d in inst._replicas:
-                for k, ins in ops:
-                    if ins:
-                        d.insert(k)
-                    else:
-                        d.delete(k)
+            _apply_ops(inst._replicas, ops)
             inst._log.append(tuple(ops))
             inst.epochs.advance()
             replayed += len(ops)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cellprobe import EMPTY_CELL, ProbeCounter, Table
+from repro.dictionaries.base import write_interleaved_params
 from repro.errors import TableError
 
 
@@ -73,6 +74,24 @@ def test_write_cells_equals_per_cell_writes():
             scatter.write_cells(0, np.array([1, 2]), values)
     assert np.array_equal(scatter._cells, scalar._cells)
     assert scatter.writes == 4
+
+
+def test_interleaved_params_equal_per_cell_writes():
+    """One scatter stores what one ``write`` per column stored."""
+    words = [7, (1 << 64) - 1, 0, 12345]
+    for s, replication in ((16, 4), (16, 2), (19, 1), (9, 2)):
+        scatter, scalar = Table(rows=2, s=s), Table(rows=2, s=s)
+        write_interleaved_params(scatter, 1, words, replication)
+        for j, word in enumerate(words):
+            for k in range(replication):
+                scalar.write(1, j + k * len(words), word)
+        assert np.array_equal(scatter._cells, scalar._cells)
+        assert scatter.writes == scalar.writes == len(words) * replication
+    for bad in ([1, -1], [1 << 64]):
+        with pytest.raises(TableError):
+            write_interleaved_params(Table(rows=1, s=8), 0, bad, 2)
+    with pytest.raises(TableError):
+        write_interleaved_params(Table(rows=1, s=8), 0, words, 3)
 
 
 def test_bounds_checking():

@@ -94,3 +94,13 @@ def test_space_is_linear():
         SchemeParameters(n=n).space_words / n for n in (256, 1024, 4096)
     ]
     assert max(per_key) / min(per_key) < 1.3  # flat words/key
+
+
+def test_word_bits_bounded_by_cell_width():
+    """A histogram word must fit a 64-bit table cell whatever the keys."""
+    assert SchemeParameters(n=100, word_bits=64).word_bits == 64
+    for bits in (65, 128):
+        with pytest.raises(ParameterError, match=r"word_bits must be <= 64"):
+            SchemeParameters(n=100, word_bits=bits)
+    with pytest.raises(ParameterError, match=r"word_bits must be >= 8"):
+        SchemeParameters(n=100, word_bits=7)

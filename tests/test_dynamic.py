@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dictionaries.base import StaticDictionary
 from repro.distributions import UniformPositiveNegative
 from repro.dynamic import (
     DynamicLowContentionDictionary,
@@ -201,6 +202,39 @@ class TestSingleton:
     def test_requires_one_key(self):
         with pytest.raises(ParameterError):
             SingletonDictionary([1, 2], 1000)
+
+    @staticmethod
+    def _twins():
+        return (
+            SingletonDictionary([99], 1000, width=48),
+            SingletonDictionary([99], 1000, width=48),
+        )
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (31,), (3, 7)])
+    def test_batch_equals_scalar_loop(self, shape):
+        s, twin = self._twins()
+        xs = np.random.default_rng(1).integers(90, 110, size=shape)
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        got = s.query_batch(xs, rng_a)
+        want = StaticDictionary.query_batch(twin, xs, rng_b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert s.table.counter.digest() == twin.table.counter.digest()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [0, 2, -1])
+    def test_batch_out_of_universe_as_scalar_loop(self, bad):
+        s, twin = self._twins()
+        xs = np.array([99, 5, 99, 7])
+        xs[bad] = 1000 if bad else -3
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(QueryError) as got:
+            s.query_batch(xs, rng_a)
+        with pytest.raises(QueryError) as want:
+            StaticDictionary.query_batch(twin, xs, rng_b)
+        assert str(got.value) == str(want.value)
+        assert s.table.counter.total_probes() == bad % len(xs)
+        assert s.table.counter.digest() == twin.table.counter.digest()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestEncoding:
