@@ -20,8 +20,12 @@ row 2d                z vector: T(2d, j) = z[j mod r]
 row 2d+1              GBAS:     T(2d+1, j) = GBAS(j mod m)
 rows [2d+2, 2d+2+rho) group histograms: word i of group (j mod m)
 row 2d+2+rho          per-bucket perfect-hash words (replicated in-span)
-row 2d+3+rho          data: key x at span_start(bucket) + h*(x)
+row 2d+3+rho          data: key x's word at span_start(bucket) + h*(x)
 ====================  =========================================================
+
+A key's data word is the key itself unless the build is given other
+words (``data``): a dynamic level stores ``2k + is_insert`` at key k's
+slot, so one lookup returns both the key and the state of its entry.
 
 Bucket b (in [s]) belongs to group b mod m as its (b // m)-th member;
 its owned span has length load(b)**2 and starts at
@@ -193,8 +197,9 @@ def sample_until_property_p(
     return h, loads[0], group_loads[0], hv[0], int(trials[0])
 
 
-def _checked_input(keys, universe_size, params):
-    """Sorted int64 keys, the universe size and the parameters, checked."""
+def _checked_input(keys, universe_size, params, data=None):
+    """Sorted int64 keys, the universe size, the parameters and the data
+    words (the keys by default), checked."""
     if not isinstance(keys, np.ndarray):
         keys = list(keys)
     keys = np.sort(np.asarray(keys, dtype=np.int64))
@@ -211,7 +216,15 @@ def _checked_input(keys, universe_size, params):
         raise ConstructionError(
             f"params.n={params.n} does not match {keys.size} keys"
         )
-    return keys, universe_size, params
+    if data is None:
+        data = keys
+    else:
+        data = np.asarray(data, dtype=np.uint64)
+        if data.shape != keys.shape:
+            raise ConstructionError(
+                f"{data.size} data words for {keys.size} keys"
+            )
+    return keys, universe_size, params, data
 
 
 def construct(
@@ -220,6 +233,7 @@ def construct(
     params: SchemeParameters | None = None,
     rng=None,
     max_trials: int = 500,
+    data=None,
 ) -> ConstructionResult:
     """Build the low-contention dictionary table for ``keys``.
 
@@ -228,7 +242,7 @@ def construct(
     :func:`construct_lockstep`.
     """
     return construct_lockstep(
-        keys, universe_size, params, [as_generator(rng)], max_trials
+        keys, universe_size, params, [as_generator(rng)], max_trials, data
     )[0]
 
 
@@ -238,8 +252,13 @@ def construct_lockstep(
     params: SchemeParameters | None,
     rngs,
     max_trials: int = 500,
+    data=None,
 ) -> list[ConstructionResult]:
     """Build one table for ``keys`` per generator in ``rngs``, in one pass.
+
+    The data row holds, at each key's slot, its word in ``data``: the
+    i-th word belongs to the i-th smallest key.  ``data`` defaults to
+    the keys themselves.  The words change no draw and no other cell.
 
     Result ``i`` is the one ``construct(keys, universe_size, params,
     rngs[i], max_trials)`` builds: the same cells, ``writes``, functions,
@@ -255,7 +274,9 @@ def construct_lockstep(
     :class:`ConstructionError`; the generators before it have made their
     whole builds' draws, and those after it end where they began.
     """
-    keys, universe_size, params = _checked_input(keys, universe_size, params)
+    keys, universe_size, params, data = _checked_input(
+        keys, universe_size, params, data
+    )
     rngs = [as_generator(g) for g in rngs]
     if not rngs:
         return []
@@ -295,30 +316,25 @@ def construct_lockstep(
     sorted_buckets = hv.ravel()[order + rows * n] + rows * s
     occupied = np.flatnonzero(loads)
     counts = loads.ravel()[occupied]
-    ends = np.cumsum(counts).tolist()
-    key_list = sorted_keys.ravel().tolist()
-    buckets = [key_list[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
     # The perfect-hash search, table by table: one bulk search draws
     # every occupied bucket's, in bucket order (the construction's RNG
-    # order), from that table's generator.
+    # order), from that table's generator.  It reads each table's keys
+    # by bucket from its row of ``sorted_keys``.
     first_error = min(errors, default=R)
     table_ends = np.searchsorted(occupied, s * np.arange(1, R + 1)).tolist()
     found = []
     for i in range(first_error):
         lo = table_ends[i - 1] if i else 0
         try:
-            found.append(
-                find_perfect_hashes(buckets[lo : table_ends[i]], prime, rngs[i])
-            )
+            found.append(find_perfect_hashes(
+                sorted_keys[i], counts[lo : table_ends[i]], prime, rngs[i]
+            ))
         except ConstructionError:
             _rewind(rngs, begun, i + 1)
             raise
     if errors:
         _rewind(rngs, begun, first_error + 1)
         raise errors[first_error]
-    # The key lists are done with; freed now, the cyclic collector does
-    # not walk them during the rest of the build.
-    del buckets, key_list
     a = np.concatenate([f[0] for f in found])
     c = np.concatenate([f[1] for f in found])
     spans = counts * counts
@@ -351,13 +367,13 @@ def construct_lockstep(
     cells[:, params.phf_row][cols < covered[:, None]] = np.repeat(
         phf_words.reshape(R, G, m).transpose(0, 2, 1).ravel(), sq_lex.ravel()
     )
-    # Key x of bucket b sits at span_start(b) + h*_b(x).
+    # Key x of bucket b has its word at span_start(b) + h*_b(x).
     cells.reshape(-1)[
         rows * (params.num_rows * s)
         + params.data_row * s
         + span_starts.ravel()[sorted_buckets]
         + slots
-    ] = sorted_keys
+    ] = data[order]
 
     # Each table's functions and writes, as a build of its own makes
     # them: every cell of the 2d + 2 + rho replicated rows, the covered

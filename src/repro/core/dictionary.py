@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cellprobe.steps import BatchStridedStep, FixedCell, ProbeStep, UniformStrided
+from repro.cellprobe.table import EMPTY_CELL
 from repro.core.construction import (
     ConstructionResult,
     construct,
@@ -36,6 +37,7 @@ from repro.core.construction import (
 )
 from repro.core.params import SchemeParameters
 from repro.dictionaries.base import StaticDictionary
+from repro.errors import QueryError
 from repro.hashing.perfect import PerfectHashFunction
 from repro.hashing.polynomial import PolynomialHashFunction, horner_eval_batch
 from repro.utils.bits import (
@@ -50,6 +52,9 @@ class LowContentionDictionary(StaticDictionary):
     """Theorem 3's (O(n), b, O(1), O(1/n))-balanced cell-probing scheme."""
 
     name = "low-contention"
+    #: Whether the data row holds the keys, so that membership queries
+    #: answer; False for a build given other data words.
+    keyed = True
 
     def __init__(
         self,
@@ -76,12 +81,18 @@ class LowContentionDictionary(StaticDictionary):
         rngs,
         params: SchemeParameters | None = None,
         max_trials: int = 500,
+        data=None,
     ) -> list["LowContentionDictionary"]:
         """One dictionary over ``keys`` per generator, built in one pass.
 
         Dictionary ``i`` is the one ``LowContentionDictionary(keys,
         universe_size, rngs[i], params, max_trials)`` builds, and shares
         no object with the others (see :func:`construct_lockstep`).
+
+        Given ``data``, the data row holds those words instead of the keys
+        (the draws and every other cell are unchanged).  Such a dictionary
+        is not ``keyed``: only :meth:`lookup_batch` answers, and the
+        membership queries raise :class:`QueryError`.
         """
         universe_size = int(universe_size)
         keys = cls._sorted_keys(keys, universe_size)
@@ -89,11 +100,15 @@ class LowContentionDictionary(StaticDictionary):
             params = SchemeParameters(n=int(keys.size))
         built = []
         for i, con in enumerate(
-            construct_lockstep(keys, universe_size, params, rngs, max_trials)
+            construct_lockstep(
+                keys, universe_size, params, rngs, max_trials, data
+            )
         ):
             d = cls.__new__(cls)
             d.universe_size = universe_size
             d.keys = keys if i == 0 else keys.copy()
+            if data is not None:
+                d.keyed = False
             d._adopt(con)
             built.append(d)
         return built
@@ -118,7 +133,15 @@ class LowContentionDictionary(StaticDictionary):
 
     # -- honest query (reads only) -----------------------------------------------
 
+    def _check_keyed(self) -> None:
+        if not self.keyed:
+            raise QueryError(
+                "the data row holds other words than the keys; "
+                "read it with lookup_batch"
+            )
+
     def query(self, x: int, rng=None) -> bool:
+        self._check_keyed()
         x = self.check_key(x)
         rng = as_generator(rng)
         p = self.params
@@ -167,7 +190,14 @@ class LowContentionDictionary(StaticDictionary):
         return table.read(p.data_row, probe, 2 * d + 3 + p.rho) == x
 
     def query_batch(self, xs: np.ndarray, rng=None) -> np.ndarray:
-        """Vectorized honest query: the four phases as five adaptive rounds.
+        """Vectorized honest query: the data word read equals the key."""
+        self._check_keyed()
+        xs = np.asarray(xs, dtype=np.int64)
+        return self.lookup_batch(xs, rng) == xs.astype(np.uint64)
+
+    def lookup_batch(self, xs: np.ndarray, rng=None) -> np.ndarray:
+        """The data word at each key's slot: the four phases as five
+        adaptive rounds.
 
         Each round is one :meth:`~repro.cellprobe.table.Table.read_round`
         (rows are probed at the step equal to their row index) with one
@@ -177,10 +207,11 @@ class LowContentionDictionary(StaticDictionary):
         2. z[g(x)];
         3. GBAS and the rho histogram words;
         4. the perfect-hash word (skipped for empty buckets);
-        5. the data word (skipped for empty buckets).
+        5. the data word (skipped for empty buckets, which get
+           ``EMPTY_CELL``).
 
         A ``(k, batch)`` draw yields the same values and generator state
-        as k draws of ``batch``, so the answers, the probe accounting and
+        as k draws of ``batch``, so the words, the probe accounting and
         the RNG stream equal those of one read per row.
         """
         xs = self.check_keys_batch(xs)
@@ -223,8 +254,8 @@ class LowContentionDictionary(StaticDictionary):
             meta[1:].T, p.group_size, p.word_bits
         )
 
-        # Locate the bucket's span.  Keys of empty buckets answer False
-        # and take no part in the last two rounds.
+        # Locate the bucket's span.  Keys of empty buckets take no part
+        # in the last two rounds.
         rows_idx = np.arange(batch)
         load = member_loads[rows_idx, member]
         sq = member_loads * member_loads
@@ -244,18 +275,17 @@ class LowContentionDictionary(StaticDictionary):
             rows[p.phf_row : p.phf_row + 1], (start + j)[None], p.phf_row
         )[0]
 
-        # Round 5: the data word, and the final comparison.
+        # Round 5: the data word at h*(x) within the span.
         a, c = unpack_pair_batch(phf_word)
         pf = np.uint64(self.prime)
         x = xs[live].astype(np.uint64)
         v = (a * (x % pf) + c) % pf
         probe = start + (v % span_len.astype(np.uint64)).astype(np.int64)
-        data = table.read_round(
+        data = np.full(batch, EMPTY_CELL, dtype=np.uint64)
+        data[live] = table.read_round(
             rows[p.data_row :], probe[None], p.data_row
         )[0]
-        found = np.zeros(batch, dtype=bool)
-        found[live] = data == x
-        return found
+        return data
 
     # -- analytic probe plans ---------------------------------------------------------
 

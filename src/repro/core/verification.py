@@ -188,7 +188,12 @@ def verify_table(
 
 
 def verify_dictionary(dictionary, expected_keys=None) -> list[str]:
-    """Convenience wrapper: verify a LowContentionDictionary's own table."""
+    """Convenience wrapper: verify a LowContentionDictionary's own table.
+
+    Its data row must hold its keys: a dictionary built with other data
+    words (not ``keyed``) raises :class:`QueryError`.
+    """
+    dictionary._check_keyed()
     return verify_table(
         dictionary.table,
         dictionary.params,

@@ -7,11 +7,12 @@ direction:
 
 - :class:`~repro.dynamic.dictionary.DynamicLowContentionDictionary` —
   a dynamization of the Section 2 scheme via the Bentley–Saxe
-  logarithmic method: operations (inserts *and* deletes, encoded as
-  signed entries) accumulate in geometrically growing levels, each
-  level a static low-contention dictionary; a query consults every
-  level, newest first, so its per-step contention inherits each level's
-  O(1/level_size) profile.
+  logarithmic method: operations (inserts *and* deletes, as signed
+  entries) accumulate in geometrically growing levels, each level a
+  static low-contention dictionary keyed by the key whose data row
+  holds the entry word ``2k + is_insert``; a query makes one lookup per
+  level, newest first, until a level pins the key, so its per-step
+  contention inherits each level's O(1/level_size) profile.
 - :mod:`~repro.dynamic.accounting` — update-contention accounting: the
   static model charges only reads, but updates *write*; we count the
   cells written per rebuild and report per-cell write contention over

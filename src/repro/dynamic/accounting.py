@@ -12,8 +12,8 @@ dimensions measurable (E14).
 
 A rebuild writes each cell of the rebuilt level's table (at most) once,
 so per-cell write counts within a level equal that level's rebuild
-count; the accounting therefore tracks rebuild counts per level plus
-any explicit point writes, which keeps it O(1) per rebuild.
+count; the accounting therefore tracks rebuild counts per level, which
+keeps it O(1) per rebuild.
 """
 
 from __future__ import annotations
@@ -49,18 +49,14 @@ class UpdateCostAccount:
     _full_writes: dict = dataclasses.field(
         default_factory=lambda: defaultdict(int)
     )
-    # Explicit point writes keyed by (level, flat_cell).
-    _point_writes: dict = dataclasses.field(
-        default_factory=lambda: defaultdict(int)
-    )
 
     def record_update(self) -> None:
         """Count one insert/delete operation."""
         self.updates += 1
 
-    def record_query(self) -> None:
-        """Count one membership query."""
-        self.queries += 1
+    def record_query(self, count: int = 1) -> None:
+        """Count ``count`` membership queries."""
+        self.queries += int(count)
 
     def record_rebuild(
         self, level: int, entries: int, cells_written: int, probes: int = 0
@@ -76,10 +72,6 @@ class UpdateCostAccount:
             )
         )
         self._full_writes[level] += 1
-
-    def record_point_write(self, level: int, flat_cell: int) -> None:
-        """Record a single-cell write outside a full rebuild."""
-        self._point_writes[(level, int(flat_cell))] += 1
 
     # -- summaries ---------------------------------------------------------------
 
@@ -99,15 +91,11 @@ class UpdateCostAccount:
     def max_write_contention(self) -> float:
         """max over cells of writes/updates — the write analogue of phi.
 
-        A cell of level L is written once per rebuild of L, plus any
-        point writes it received.
+        A cell of level L is written once per rebuild of L.
         """
         if not self.updates:
             return 0.0
-        best = max(self._full_writes.values(), default=0)
-        for (level, _), count in self._point_writes.items():
-            best = max(best, count + self._full_writes.get(level, 0))
-        return best / self.updates
+        return max(self._full_writes.values(), default=0) / self.updates
 
     def rebuild_count_by_level(self) -> dict[int, int]:
         """How many times each level was rebuilt."""

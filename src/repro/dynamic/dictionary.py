@@ -1,15 +1,16 @@
 """The dynamic low-contention dictionary facade.
 
-Queries walk levels newest-first and ask each level's *static*
-low-contention dictionary two honest membership questions — "is there
-an insert entry for x?" then "a delete entry?" — stopping at the first
-level that pins the key's state.  Probe cost is thus at most
-``2 * levels * t_static``; query contention is dominated by the
-smallest non-empty level (its table is the smallest s, so its floor
-1/s is the highest).  Updates pay amortized O(log U) static rebuilds
-(binary-counter carries) plus occasional flattening; all rebuild work
-and write contention is recorded in an
-:class:`~repro.dynamic.accounting.UpdateCostAccount`.
+Queries walk levels newest-first (:func:`~repro.dynamic.levels.lookup_levels`)
+and make one honest lookup per level: the level's static dictionary is
+keyed by the key and its data row holds the entry word
+``2k + is_insert``, so one read of the key's slot answers "absent",
+"inserted" or "deleted".  The walk stops at the first level that pins
+the key's state.  Probe cost is thus at most ``levels * t_static``;
+query contention is dominated by the smallest non-empty level (its
+table is the smallest s, so its floor 1/s is the highest).  Updates pay
+amortized O(log U) static rebuilds (binary-counter carries) plus
+occasional flattening; all rebuild work and write contention is
+recorded in an :class:`~repro.dynamic.accounting.UpdateCostAccount`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.distributions.base import QueryDistribution
 from repro.dynamic.accounting import UpdateCostAccount
-from repro.dynamic.levels import LevelStructure, encode_delete, encode_insert
+from repro.dynamic.levels import LevelStructure, lookup_levels
 from repro.errors import ParameterError, QueryError
 from repro.utils.rng import as_generator
 
@@ -108,58 +109,23 @@ class DynamicLowContentionDictionary:
         return xs
 
     def query(self, x: int, rng=None) -> bool:
-        """Honest membership query: charged probes on every level visited."""
+        """Honest membership query: :meth:`query_batch` of one key."""
         x = self._check_key(x)
-        rng = as_generator(rng)
-        self.account.record_query()
-        for level in self._levels.levels:
-            if level is None:
-                continue
-            if level.contains_encoded(encode_insert(x), rng):
-                return True
-            if level.contains_encoded(encode_delete(x), rng):
-                return False
-        return False
+        return bool(self.query_batch(np.array([x], dtype=np.int64), rng)[0])
 
     def query_batch(self, xs, rng=None) -> np.ndarray:
         """Honest membership queries for a whole batch, vectorized.
 
-        Walks levels newest-first like :meth:`query`, but asks each
-        level its two encoded questions for *all still-undecided* keys
-        at once through the static structures' ``query_batch``
-        machinery.  The short-circuit discipline is preserved exactly:
-        a key decided at a newer level is never probed at an older one,
-        so per-level probe **totals** match the scalar path (per-cell
-        placement differs only by rng draw order).
+        Walks levels newest-first (:func:`lookup_levels`), one static
+        lookup per non-empty level for the keys still undecided there;
+        a key decided at a newer level is never probed at an older one.
+        A key is a member iff the newest level that pins it holds an
+        insert entry for it.
         """
         xs = self._check_keys_batch(xs)
         rng = as_generator(rng)
-        flat = xs.ravel()
-        for _ in range(flat.size):
-            self.account.record_query()
-        answers = np.zeros(flat.shape, dtype=bool)
-        undecided = np.ones(flat.shape, dtype=bool)
-        for level in self._levels.levels:
-            if level is None:
-                continue
-            idx = np.nonzero(undecided)[0]
-            if idx.size == 0:
-                break
-            pending = flat[idx]
-            ins_hit = level.structure.query_batch(
-                2 * pending + 1, rng
-            )
-            hit_idx = idx[ins_hit]
-            answers[hit_idx] = True
-            undecided[hit_idx] = False
-            miss_idx = idx[~ins_hit]
-            if miss_idx.size:
-                del_hit = level.structure.query_batch(
-                    2 * flat[miss_idx], rng
-                )
-                # A delete entry pins the key's state to False.
-                undecided[miss_idx[del_hit]] = False
-        return answers.reshape(xs.shape)
+        self.account.record_query(xs.size)
+        return lookup_levels(self._levels.levels, xs, rng) == 1
 
     def contains(self, x: int) -> bool:
         """Ground truth (no probes)."""
@@ -196,7 +162,7 @@ class DynamicLowContentionDictionary:
     @property
     def max_probes(self) -> int:
         return sum(
-            2 * lv.structure.max_probes for lv in self._levels.nonempty_levels
+            lv.structure.max_probes for lv in self._levels.nonempty_levels
         )
 
     @property

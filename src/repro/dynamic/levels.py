@@ -3,9 +3,12 @@
 A dynamic operation is an entry ``(key, is_insert)``; entries live in
 levels of geometrically growing capacity, newest level first.  Each
 non-empty level is backed by a *static* low-contention dictionary over
-the encoded universe ``2N`` (``2k+1`` = "insert k", ``2k`` =
-"delete k"), so the membership machinery — honest probes, plans, exact
-contention — applies per level unchanged.
+its entries' keys in the universe ``N``, whose data row holds each
+entry's word ``2k + is_insert`` at the key's slot.  One honest lookup
+per level (:func:`lookup_levels`) reads the word ``w`` at the queried
+key's slot: the level pins key ``k`` iff ``w >> 1 == k``, and the key's
+state there is ``w & 1``.  The membership machinery — honest probes,
+plans, exact contention — applies per level unchanged.
 
 Level discipline (binary-counter carries):
 
@@ -40,22 +43,26 @@ import dataclasses
 import numpy as np
 
 from repro.cellprobe.counters import ProbeCounter
-from repro.cellprobe.table import Table
+from repro.cellprobe.table import EMPTY_CELL, Table
 from repro.core import LowContentionDictionary
 from repro.dictionaries.base import StaticDictionary
-from repro.errors import ParameterError, VerificationError
+from repro.errors import ParameterError, QueryError, VerificationError
 from repro.heal import charged_to
 from repro.telemetry.events import BUS, RebuildEvent
 from repro.utils.rng import as_generator
 
 
+#: :func:`lookup_levels` state of a key that no level pins.
+ABSENT = -1
+
+
 def encode_insert(key: int) -> int:
-    """Encode an insert entry for key into the doubled universe."""
+    """The data word of an insert entry for key: ``2k + 1``."""
     return 2 * int(key) + 1
 
 
 def encode_delete(key: int) -> int:
-    """Encode a delete (tombstone) entry for key."""
+    """The data word of a delete (tombstone) entry for key: ``2k``."""
     return 2 * int(key)
 
 
@@ -64,28 +71,49 @@ class SingletonDictionary(StaticDictionary):
 
     Queries probe one uniformly random cell — contention exactly 1/s,
     the flattest possible profile — so singleton levels never become
-    hot spots.
+    hot spots.  The row holds the key, or the one word in ``data``; given
+    ``data`` it is not ``keyed``: only :meth:`lookup_batch` answers, and
+    the membership queries raise :class:`QueryError`.
     """
 
     name = "singleton"
+    #: Whether the row holds the key, so that membership queries answer.
+    keyed = True
 
-    def __init__(self, keys, universe_size: int, rng=None, width: int = 64):
+    def __init__(
+        self, keys, universe_size: int, rng=None, width: int = 64, data=None
+    ):
         self.universe_size = int(universe_size)
         self.keys = self._sorted_keys(keys, self.universe_size)
         if self.keys.size != 1:
             raise ParameterError("SingletonDictionary stores exactly one key")
+        (word,) = self.keys if data is None else data
+        if data is not None:
+            self.keyed = False
         self.table = Table(rows=1, s=int(width))
-        self.table.write_row(
-            0, np.full(int(width), int(self.keys[0]), dtype=np.uint64)
-        )
+        self.table.write_row(0, np.full(int(width), int(word), dtype=np.uint64))
+
+    def _check_keyed(self) -> None:
+        if not self.keyed:
+            raise QueryError(
+                "the row holds another word than the key; "
+                "read it with lookup_batch"
+            )
 
     def query(self, x: int, rng=None) -> bool:
+        self._check_keyed()
         x = self.check_key(x)
         rng = as_generator(rng)
         return self.table.read(0, int(rng.integers(0, self.table.s)), 0) == x
 
     def query_batch(self, xs, rng=None) -> np.ndarray:
-        """The scalar query of every key in one round.
+        """The scalar query of every key in one round (see :meth:`lookup_batch`)."""
+        self._check_keyed()
+        xs = np.asarray(xs, dtype=np.int64)
+        return self.lookup_batch(xs, rng) == xs.astype(np.uint64)
+
+    def lookup_batch(self, xs, rng=None) -> np.ndarray:
+        """The word each key's scalar query reads, in one round.
 
         One ``(1, b)`` draw gives the b scalar draws' cells and generator
         state, and one :meth:`~repro.cellprobe.table.Table.read_round`
@@ -98,17 +126,16 @@ class SingletonDictionary(StaticDictionary):
         flat = xs.ravel()
         outside = (flat < 0) | (flat >= self.universe_size)
         b = int(np.argmax(outside)) if outside.any() else flat.size
-        found = np.zeros(flat.size, dtype=bool)
+        words = np.full(flat.size, EMPTY_CELL, dtype=np.uint64)
         if b:
-            cells = self.table.read_round(
+            words[:b] = self.table.read_round(
                 np.zeros(1, dtype=np.int64),
                 rng.integers(0, self.table.s, size=(1, b)),
                 0,
             )[0]
-            found[:b] = cells == flat[:b].astype(np.uint64)
         if b < flat.size:
             self.check_key(flat[b])
-        return found.reshape(xs.shape)
+        return words.reshape(xs.shape)
 
     def probe_plan(self, x):
         from repro.cellprobe.steps import UniformStrided
@@ -160,9 +187,32 @@ class Level:
         """True/False if this level pins the key's state; None if absent."""
         return self.entries.get(int(key))
 
-    def contains_encoded(self, encoded: int, rng) -> bool:
-        """Honest probe-charged membership of an encoded entry."""
-        return self.structure.query(encoded, rng)
+
+def lookup_levels(levels, xs, rng) -> np.ndarray:
+    """Each key's state under a newest-first level list, by honest reads.
+
+    Every non-empty level visited makes one static lookup
+    (``structure.lookup_batch``) for the keys no newer level has pinned:
+    it reads the word ``w`` at each key's slot and pins key ``k`` iff
+    ``w >> 1 == k``, with state ``w & 1``.  A key pinned at a newer level
+    is never probed at an older one.  Returns int8 states in the shape
+    of ``xs``: 1 inserted, 0 deleted, :data:`ABSENT` in no level.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    flat = xs.ravel()
+    states = np.full(flat.size, ABSENT, dtype=np.int8)
+    pending = np.arange(flat.size)
+    for level in levels:
+        if level is None:
+            continue
+        if not pending.size:
+            break
+        keys = flat[pending]
+        words = level.structure.lookup_batch(keys, rng)
+        pinned = (words >> 1) == keys.astype(np.uint64)
+        states[pending[pinned]] = words[pinned] & 1
+        pending = pending[~pinned]
+    return states.reshape(xs.shape)
 
 
 class LevelStructure:
@@ -181,7 +231,6 @@ class LevelStructure:
         on_retire=None,
     ):
         self.universe_size = int(universe_size)
-        self.encoded_universe = 2 * self.universe_size
         self.rng = as_generator(rng)
         self.levels: list[Level | None] = []
         #: Keys whose newest entry is an insert (== len(live_keys())).
@@ -250,40 +299,43 @@ class LevelStructure:
 
     def _config(self) -> tuple:
         """What a level build depends on besides its entries and rng."""
-        return (self.encoded_universe, self.min_level_width, self.max_trials)
+        return (self.universe_size, self.min_level_width, self.max_trials)
 
     # -- structure building ------------------------------------------------------------
 
     def _build_structures(self, entries: dict, rngs: list) -> list[StaticDictionary]:
         """The static structure over ``entries`` once per generator.
 
-        Structure ``i`` is the one ``rngs[i]`` alone would build; a level
-        of two or more entries is built for all of them in one lockstep
-        construction (:meth:`LowContentionDictionary.build_lockstep`).
+        It is keyed by the entries' keys and its data row holds each
+        entry's word ``2k + is_insert``.  Structure ``i`` is the one
+        ``rngs[i]`` alone would build; a level of two or more entries is
+        built for all of them in one lockstep construction
+        (:meth:`LowContentionDictionary.build_lockstep`).
         """
-        encoded = [
-            encode_insert(k) if ins else encode_delete(k)
-            for k, ins in entries.items()
+        keys = np.array(sorted(entries), dtype=np.int64)
+        words = [
+            encode_insert(k) if entries[k] else encode_delete(k)
+            for k in keys.tolist()
         ]
-        if len(encoded) == 1:
+        if keys.size == 1:
             width = max(64, self.min_level_width)
             return [
                 SingletonDictionary(
-                    encoded, self.encoded_universe, rng, width=width
+                    keys, self.universe_size, rng, width=width, data=words
                 )
                 for rng in rngs
             ]
         params = None
-        if self.min_level_width > 2 * len(encoded):
+        if self.min_level_width > 2 * keys.size:
             from repro.core import SchemeParameters
 
             params = SchemeParameters(
-                n=len(encoded),
-                beta=self.min_level_width / len(encoded),
+                n=int(keys.size),
+                beta=self.min_level_width / keys.size,
             )
         return LowContentionDictionary.build_lockstep(
-            encoded, self.encoded_universe, rngs,
-            params=params, max_trials=self.max_trials,
+            keys, self.universe_size, rngs,
+            params=params, max_trials=self.max_trials, data=words,
         )
 
     def _install(
@@ -301,18 +353,13 @@ class LevelStructure:
             (structure,) = self._build_structures(entries, [self.rng])
         while len(self.levels) <= index:
             self.levels.append(None)
+        level = Level(index=index, entries=entries, structure=structure)
         probes = 0
-        rebuild_counter = None
         if self.verify_rebuilds:
-            rebuild_counter = ProbeCounter(structure.table.num_cells)
-            probes = self._verify_structure(structure, entries, rebuild_counter)
+            level.rebuild_counter = ProbeCounter(structure.table.num_cells)
+            probes = self._verify_level(level)
         self._installs += 1
-        self.levels[index] = Level(
-            index=index,
-            entries=entries,
-            structure=structure,
-            rebuild_counter=rebuild_counter,
-        )
+        self.levels[index] = level
         if self.account is not None:
             self.account.record_rebuild(
                 level=index,
@@ -330,23 +377,28 @@ class LevelStructure:
                 probes=probes,
             ))
 
-    def _verify_structure(
-        self, structure: StaticDictionary, entries: dict, counter: ProbeCounter
-    ) -> int:
-        """Canary-read every encoded entry through the real query path.
+    def _verify_level(self, level: Level) -> int:
+        """Canary-read every entry through the live read path.
 
-        All probes are rerouted to ``counter`` via
+        Each entry's key must come back pinned by ``level`` with the
+        entry's state bit (:func:`lookup_levels` over the one level).
+        All probes are rerouted to ``level.rebuild_counter`` via
         :func:`repro.heal.charged_to`; the rng is seeded from
         ``(verify_seed, install_sequence)`` so the sweep is deterministic
         and independent of the construction stream.
         """
         verify_rng = np.random.default_rng((self.verify_seed, self._installs))
-        with charged_to(structure.table, counter):
-            for k, ins in entries.items():
-                encoded = encode_insert(k) if ins else encode_delete(k)
-                if not structure.query(encoded, verify_rng):
-                    raise VerificationError(encoded, False, True)
-        return counter.total_probes()
+        keys = np.fromiter(level.entries, dtype=np.int64, count=level.size)
+        want = np.fromiter(
+            level.entries.values(), dtype=np.int8, count=level.size
+        )
+        with charged_to(level.structure.table, level.rebuild_counter):
+            got = lookup_levels([level], keys, verify_rng)
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            i = int(bad[0])
+            raise VerificationError(keys[i], got[i] == 1, bool(want[i]))
+        return level.rebuild_counter.total_probes()
 
     def _retire(self, level: Level | None) -> None:
         """Hand a level being unlinked to the retirement hook, if any."""

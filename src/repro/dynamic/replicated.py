@@ -62,6 +62,7 @@ import numpy as np
 from repro.cellprobe.counters import ProbeCounter
 from repro.dynamic.dictionary import DynamicLowContentionDictionary
 from repro.dynamic.epoch import EpochManager, EpochPin
+from repro.dynamic.levels import lookup_levels
 from repro.errors import (
     FaultExhaustedError,
     HealError,
@@ -89,33 +90,6 @@ class DynamicFaultStats:
     crashes: int = 0
     rebuilds: int = 0
     corruptions: int = 0
-
-
-def _query_batch_levels(levels, xs: np.ndarray, rng) -> np.ndarray:
-    """Walk a (possibly snapshotted) level list newest-first, vectorized.
-
-    The same short-circuit discipline as
-    :meth:`DynamicLowContentionDictionary.query_batch`, but against an
-    explicit level sequence — which is what lets an epoch-pinned read
-    run against retired structures.
-    """
-    flat = np.asarray(xs, dtype=np.int64).ravel()
-    answers = np.zeros(flat.shape, dtype=bool)
-    undecided = np.ones(flat.shape, dtype=bool)
-    for level in levels:
-        if level is None:
-            continue
-        idx = np.nonzero(undecided)[0]
-        if idx.size == 0:
-            break
-        ins_hit = level.structure.query_batch(2 * flat[idx] + 1, rng)
-        answers[idx[ins_hit]] = True
-        undecided[idx[ins_hit]] = False
-        miss_idx = idx[~ins_hit]
-        if miss_idx.size:
-            del_hit = level.structure.query_batch(2 * flat[miss_idx], rng)
-            undecided[miss_idx[del_hit]] = False
-    return answers
 
 
 def _apply_ops(replicas, ops) -> None:
@@ -505,7 +479,7 @@ class ReplicatedDynamicDictionary:
                         charged_to(lv.structure.table, c)
                     )
                     counters.append(c)
-                answers = _query_batch_levels(levels, keys, rng)
+                answers = lookup_levels(levels, keys, rng) == 1
             if not bool(np.all(answers)):
                 raise VerificationError(
                     int(keys[~answers][0]), False, True
@@ -517,22 +491,8 @@ class ReplicatedDynamicDictionary:
     # -- voted reads -------------------------------------------------------------
 
     def query(self, x: int, rng=None) -> bool:
-        """Majority vote across live replicas (all probes charged)."""
-        rng = as_generator(rng)
-        votes_true = votes_false = 0
-        for r in self.live_replicas():
-            try:
-                answer = self._replicas[r].query(x, rng)
-            except _REPLICA_FAILURES:
-                self.fault_stats.abstentions += 1
-                continue
-            if answer:
-                votes_true += 1
-            else:
-                votes_false += 1
-        if votes_true == 0 and votes_false == 0:
-            raise FaultExhaustedError(self.replicas)
-        return votes_true > votes_false
+        """Majority vote across live replicas: :meth:`query_batch` of one key."""
+        return bool(self.query_batch(np.array([x], dtype=np.int64), rng)[0])
 
     def query_batch(self, xs, rng=None) -> np.ndarray:
         """Vectorized majority vote: each live replica votes on the batch."""
@@ -616,7 +576,7 @@ class ReplicatedDynamicDictionary:
                 self.fault_stats.crash_hits += 1
                 continue
             try:
-                answers = _query_batch_levels(levels, xs, rng)
+                answers = lookup_levels(levels, xs, rng) == 1
             except _REPLICA_FAILURES:
                 self.fault_stats.abstentions += 1
                 continue

@@ -128,7 +128,8 @@ def perfect_hash_functions(
 
 
 def find_perfect_hashes(
-    buckets,
+    keys,
+    loads,
     prime: int,
     rng: np.random.Generator,
     max_trials: int = 1000,
@@ -136,8 +137,12 @@ def find_perfect_hashes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rejection-sample a perfect hash for every bucket, in bucket order.
 
-    ``buckets`` is a sequence of buckets, each an integer array or a list
-    of non-negative Python ints; bucket ``i`` is hashed into
+    ``keys`` holds the non-negative keys grouped by bucket: bucket ``i``
+    is the ``loads[i]`` keys after those of the buckets before it, and
+    loads that are negative or do not sum to ``len(keys)`` raise
+    :class:`ParameterError` before any draw.  The
+    search reads each bucket of two or more keys by its index range, so
+    no per-bucket list is made.  Bucket ``i`` is hashed into
     ``[range_sizes[i]]``, by default its load squared (at least 1).
     Returns ``(a, c, trials)``, int64 arrays of each bucket's parameters
     and the trials it took.
@@ -166,8 +171,13 @@ def find_perfect_hashes(
     """
     if not is_prime(prime) or prime > MAX_VECTOR_PRIME:
         raise ParameterError(f"invalid prime {prime}")
-    count = len(buckets)
-    loads = [len(b) for b in buckets]
+    loads = np.asarray(loads, dtype=np.int64).tolist()
+    key_list = np.asarray(keys, dtype=np.int64).tolist()
+    count = len(loads)
+    if min(loads, default=0) < 0 or sum(loads) != len(key_list):
+        raise ParameterError(
+            f"{count} bucket loads do not split {len(key_list)} keys"
+        )
     if range_sizes is not None:
         range_sizes = [int(r) for r in range_sizes]
         for load, size in zip(loads, range_sizes):
@@ -182,12 +192,12 @@ def find_perfect_hashes(
     chunks = [rng.integers(0, prime, size=2 * count)]
     stream = chunks[0].tolist()
     failed = []  # stream pairs of failed trials, in stream order
+    hi = 0  # bucket i's keys are key_list[hi - load : hi]
     for i, load in enumerate(loads):
+        hi += load
         if load <= 1:
             continue
-        keys = buckets[i]
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
+        bucket = key_list[hi - load : hi]
         size = load * load if range_sizes is None else range_sizes[i]
         pair = i + len(failed)  # bucket i's first trial
         for trial in range(1, max_trials + 1):
@@ -196,7 +206,7 @@ def find_perfect_hashes(
                 stream.extend(chunks[-1].tolist())
             a, c = stream[2 * pair], stream[2 * pair + 1]
             # (a*x + c) mod p equals (a*(x mod p) + c) mod p for Python ints.
-            if len({(a * x + c) % prime % size for x in keys}) == load:
+            if len({(a * x + c) % prime % size for x in bucket}) == load:
                 break
             failed.append(pair)
             pair += 1
@@ -234,12 +244,8 @@ def perfect_hash_buckets(
     """
     loads = np.asarray(loads, dtype=np.int64)
     nonempty = np.flatnonzero(loads)
-    ends = np.cumsum(loads[nonempty]).tolist()
-    key_list = np.asarray(sorted_keys).tolist()
-    a, c, _ = find_perfect_hashes(
-        [key_list[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)], prime, rng
-    )
     counts = loads[nonempty]
+    a, c, _ = find_perfect_hashes(sorted_keys, counts, prime, rng)
     spans = counts * counts
     inner: list = [None] * len(loads)
     functions = perfect_hash_functions(prime, a, c, spans)
@@ -269,8 +275,9 @@ def find_perfect_hash(
     raises :class:`ConstructionError`.  The one-bucket case of
     :func:`find_perfect_hashes`.
     """
+    keys = np.asarray(keys, dtype=np.int64)
     a, c, trials = find_perfect_hashes(
-        [np.asarray(keys)], prime, rng, max_trials, [range_size]
+        keys, [keys.size], prime, rng, max_trials, [range_size]
     )
     (h,) = perfect_hash_functions(prime, a, c, [range_size])
     return h, int(trials[0])

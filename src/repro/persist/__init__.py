@@ -32,12 +32,14 @@ writes.
 """
 
 from repro.persist.checkpoint import (
+    CHECKPOINT_FORMAT,
     CHECKPOINT_MAGIC,
     CheckpointStore,
     restore_dynamic_service,
 )
 
 __all__ = [
+    "CHECKPOINT_FORMAT",
     "CHECKPOINT_MAGIC",
     "CheckpointStore",
     "restore_dynamic_service",

@@ -15,7 +15,7 @@ Recovery is a fallback chain, per shard::
 
     newest generation
       └─ frame verify (magic → CRC32 → SHA-256) ──fail──▶ quarantine
-      └─ unpickle + structure check             ──fail──▶ (*.corrupt)
+      └─ unpickle + format/structure check      ──fail──▶ (*.corrupt)
       └─ restore base + replay retained suffix        │
            └─ base present  → source "checkpoint"     ▼
            └─ base missing  → source "log"      older generation …
@@ -40,13 +40,20 @@ from repro.io.integrity import atomic_write_bytes, check_frame, frame
 from repro.telemetry.events import BUS, CheckpointEvent, RecoveryEvent
 
 __all__ = [
+    "CHECKPOINT_FORMAT",
     "CHECKPOINT_MAGIC",
     "CheckpointStore",
     "restore_dynamic_service",
 ]
 
+#: Checkpoint format version.  Format 2 stores each dynamic level keyed
+#: by the key, with the entry word ``2k + is_insert`` in its data row;
+#: format 1 keyed it by the entry code, a layout the reads no longer
+#: walk, so a format-1 file takes the fallback chain like a damaged one.
+CHECKPOINT_FORMAT = 2
+
 #: Frame magic; the trailing number is the checkpoint format version.
-CHECKPOINT_MAGIC = b"REPROCKPT:1\n"
+CHECKPOINT_MAGIC = b"REPROCKPT:%d\n" % CHECKPOINT_FORMAT
 
 #: Shard checkpoint file name: ``shard{S}-gen{G:08d}.ckpt``.
 _FILE_RE = re.compile(r"^shard(\d+)-gen(\d{8})\.ckpt$")
@@ -123,7 +130,7 @@ class CheckpointStore:
         for i, shard in enumerate(service.shards):
             snapshot = shard.snapshot_payload()
             meta = {
-                "format": 1,
+                "format": CHECKPOINT_FORMAT,
                 "shard": i,
                 "generation": generation,
                 "saved_at": float(now),
@@ -190,6 +197,12 @@ class CheckpointStore:
             ) from exc
         if not isinstance(meta, dict) or "snapshot" not in meta:
             raise CheckpointCorruptError(path, "payload is not a checkpoint")
+        if meta.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointCorruptError(
+                path,
+                f"checkpoint format {meta.get('format')!r} != "
+                f"{CHECKPOINT_FORMAT}",
+            )
         return meta
 
     def inspect(self, path) -> dict:

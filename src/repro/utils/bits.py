@@ -260,11 +260,3 @@ def unpack_pair_batch(
     mask = np.uint64((1 << half_bits) - 1)
     return (words >> np.uint64(half_bits)) & mask, words & mask
 
-
-def bit_reverse(value: int, width: int) -> int:
-    """Reverse the low ``width`` bits of ``value`` (utility for tests)."""
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out

@@ -192,7 +192,8 @@ def _run_both(buckets, prime, seed, max_trials, range_sizes=None):
         ref = ("error", str(exc))
     try:
         a, c, trials = find_perfect_hashes(
-            buckets, prime, new_rng, max_trials, range_sizes
+            [x for b in buckets for x in b], [len(b) for b in buckets],
+            prime, new_rng, max_trials, range_sizes,
         )
         new = list(zip(a.tolist(), c.tolist(), trials.tolist()))
     except ConstructionError as exc:
@@ -239,11 +240,14 @@ def test_bulk_search_checks_before_drawing():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ParameterError, match="invalid prime"):
-        find_perfect_hashes([[1, 2]], 1 << 20, rng)
+        find_perfect_hashes([1, 2], [2], 1 << 20, rng)
     with pytest.raises(ParameterError, match="cannot perfectly hash 3 keys"):
-        find_perfect_hashes([[1], [1, 2, 3]], PRIME, rng, range_sizes=[1, 2])
+        find_perfect_hashes([1, 1, 2, 3], [1, 3], PRIME, rng, range_sizes=[1, 2])
+    for keys, loads in [([1, 2, 3], [2]), ([1, 2], [2, 1]), ([1, 2], [3, -1])]:
+        with pytest.raises(ParameterError, match="loads"):
+            find_perfect_hashes(keys, loads, PRIME, rng)
     assert rng.bit_generator.state == state
-    a, c, trials = find_perfect_hashes([], PRIME, rng)
+    a, c, trials = find_perfect_hashes([], [], PRIME, rng)
     assert a.size == c.size == trials.size == 0
     assert rng.bit_generator.state == state
 

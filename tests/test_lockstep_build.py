@@ -78,8 +78,8 @@ def test_pinned_seeds_are_uneven(monkeypatch):
     retries = []
     search = construction.find_perfect_hashes
 
-    def counted(buckets, prime, rng, *args, **kwargs):
-        found = search(buckets, prime, rng, *args, **kwargs)
+    def counted(keys, loads, prime, rng, *args, **kwargs):
+        found = search(keys, loads, prime, rng, *args, **kwargs)
         retries.append(int(found[2].sum()) - len(found[2]))
         return found
 

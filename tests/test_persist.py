@@ -188,6 +188,64 @@ class TestFallbackChain:
                 )
 
 
+class TestFormatBump:
+    """Format 2 keys dynamic levels by the key; a format-1 file (levels
+    keyed by the entry code) takes the fallback chain, never the reads."""
+
+    @staticmethod
+    def _as_format_1(path, magic=b"REPROCKPT:1\n"):
+        """Rewrite ``path`` as a format-1 frame of the same payload."""
+        import pickle
+
+        from repro.io.integrity import atomic_write_bytes, frame
+        from repro.persist import CHECKPOINT_FORMAT
+
+        assert CHECKPOINT_FORMAT == 2
+        meta = CheckpointStore(os.path.dirname(path))._read_meta(path)
+        meta["format"] = 1
+        atomic_write_bytes(path, frame(pickle.dumps(meta), magic))
+
+    def test_saved_files_are_format_2(self, tmp_path):
+        from repro.persist import CHECKPOINT_MAGIC
+
+        _, store, _ = _saved(tmp_path)
+        for _, _, path in store.generations():
+            with open(path, "rb") as f:
+                assert f.read(len(CHECKPOINT_MAGIC)) == b"REPROCKPT:2\n"
+            assert store._read_meta(path)["format"] == 2
+
+    @pytest.mark.parametrize("magic", [b"REPROCKPT:1\n", b"REPROCKPT:2\n"])
+    def test_format_1_raises_typed_error(self, tmp_path, magic):
+        _, store, _ = _saved(tmp_path)
+        _, _, path = store.generations()[0]
+        self._as_format_1(path, magic)
+        with pytest.raises(CheckpointCorruptError) as exc:
+            store.inspect(path)
+        assert exc.value.path == path
+        assert "format" in exc.value.reason
+
+    def test_format_1_falls_back_a_generation_then_empty(self, tmp_path):
+        svc, store, now = _saved(tmp_path)
+        now = _apply(svc, 40, 17, now=now + 1.0)
+        svc.checkpoint(now + 5.0)  # generation 2
+        newest = store.generations(shard=0)[-1][2]
+        self._as_format_1(newest)
+        for _, _, path in store.generations(shard=1):
+            self._as_format_1(path)
+        restored, report = restore_dynamic_service(tmp_path)
+        by_shard = {r["shard"]: r for r in report["shards"]}
+        assert by_shard[0]["generation"] == 1
+        assert by_shard[0]["source"] == "checkpoint"
+        assert by_shard[1]["source"] == "empty"
+        assert report["quarantined"] == 3
+        assert os.path.exists(newest + ".corrupt")
+        # No format-1 level serves a read: shard 1 restarted empty.
+        assert restored.shards[1].live_keys().size == 0
+        xs = np.arange(UNIVERSE, dtype=np.int64)
+        one = restored.shards[1].query_batch(xs, np.random.default_rng(0))
+        assert not one.any()
+
+
 class TestCompactionBounds:
     def test_retention_bounds_the_log(self):
         svc = _service(log_retention=16)
