@@ -141,8 +141,8 @@ def _cmd_run(args) -> int:
             telemetry_dir=args.emit_telemetry,
         )
     except ExperimentFailureError as exc:
-        # Keep-going runs still render everything that completed; either
-        # way each failure becomes one line on stderr and a nonzero exit.
+        # Everything that completed is still rendered (a failed gate
+        # included); each failure becomes one line on stderr and exit 1.
         _print_results(exc.results, args.json if exc.results else None)
         for eid, reason in exc.failures.items():
             print(f"error: {eid} failed: {reason}", file=sys.stderr)

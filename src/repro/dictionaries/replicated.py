@@ -44,6 +44,7 @@ from repro.utils.rng import as_generator
 #: algorithm to an out-of-range probe (``TableError``), an impossible
 #: decode (``ValueError``/``OverflowError``/``IndexError``), or an
 #: explicit crash (``ReplicaUnavailableError`` is a ``ReproError``).
+#: The replicated dynamic dictionary's voted reads abstain on the same set.
 _REPLICA_FAILURES = (ReproError, OverflowError, IndexError, ValueError)
 
 #: Query-routing modes of :class:`ReplicatedDictionary`.

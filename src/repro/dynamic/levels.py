@@ -257,9 +257,8 @@ class LevelStructure:
         # Telemetry labels, settable by the serving wrapper.
         self.shard = 0
         self.replica = 0
-        # Inside apply_lockstep a level owed is recorded here as
-        # ``(index, entries)`` and built with its peers'; outside, at once.
-        self._lockstep = False
+        # The level a carry or flatten owes, as ``(index, entries)``;
+        # :func:`_install_owed` builds it with its peers' and links it.
         self._owed: tuple[int, dict] | None = None
 
     # -- state queries (no probes; used for ground truth & merging) -----------------
@@ -423,8 +422,6 @@ class LevelStructure:
         generator state end as :meth:`apply` on it alone leaves them.
         """
         key = int(key)
-        for levels in structures:
-            levels._lockstep = True
         try:
             for levels in structures:
                 levels._carry(key, is_insert)
@@ -434,22 +431,14 @@ class LevelStructure:
             _install_owed(structures)
         finally:
             for levels in structures:
-                levels._lockstep = False
                 levels._owed = None
-
-    def _owe(self, index: int, entries: dict) -> None:
-        """Install level ``index`` over ``entries`` now, or record it for
-        :func:`_install_owed` inside :meth:`apply_lockstep`."""
-        if self._lockstep:
-            self._owed = (index, entries)
-        else:
-            self._install(index, entries)
 
     def _carry(self, key: int, is_insert: bool) -> None:
         """Merge the operation with levels 0..j-1 and owe level j.
 
         j is the first empty level.  The merged levels are retired and
-        unlinked (:meth:`_owe` installs the merge).
+        unlinked, and the merge is recorded as owed (:func:`_install_owed`
+        builds it).
         """
         if not 0 <= key < self.universe_size:
             raise ParameterError(f"key {key} outside universe")
@@ -473,11 +462,12 @@ class LevelStructure:
         if nothing_older:
             merged = {k: ins for k, ins in merged.items() if ins}
         if merged:
-            self._owe(j, merged)
+            self._owed = (j, merged)
 
     def _maybe_flatten(self) -> None:
         """Flatten when dead weight makes the entries exceed twice the
-        live count: unlink every level and owe one of the live keys."""
+        live count: unlink every level and owe one of the live keys
+        (:func:`_install_owed` builds it)."""
         total = self.total_entries
         if total >= 8 and total > 2 * max(self._live, 1):
             live = self.live_keys()
@@ -488,7 +478,7 @@ class LevelStructure:
                 # Land the flattened set at the level matching its size,
                 # keeping the capacity discipline (level j holds ~2^j).
                 index = max(0, int(np.ceil(np.log2(len(live)))))
-                self._owe(index, {k: True for k in live})
+                self._owed = (index, {k: True for k in live})
 
 
 def _install_owed(structures) -> None:

@@ -60,6 +60,7 @@ from contextlib import ExitStack
 import numpy as np
 
 from repro.cellprobe.counters import ProbeCounter
+from repro.dictionaries.replicated import _REPLICA_FAILURES
 from repro.dynamic.dictionary import DynamicLowContentionDictionary
 from repro.dynamic.epoch import EpochManager, EpochPin
 from repro.dynamic.levels import lookup_levels
@@ -68,17 +69,10 @@ from repro.errors import (
     HealError,
     ParameterError,
     ReplicaUnavailableError,
-    ReproError,
     VerificationError,
 )
 from repro.heal import charged_to
 from repro.utils.rng import as_generator, spawn_generators
-
-#: Exceptions treated as a *detected* per-replica failure (abstention)
-#: by the voted read paths — same taxonomy as the static replicated
-#: dictionary: corrupted words can drive the honest algorithm to an
-#: out-of-range probe or an impossible decode, and a crash is explicit.
-_REPLICA_FAILURES = (ReproError, OverflowError, IndexError, ValueError)
 
 
 @dataclasses.dataclass

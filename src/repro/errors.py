@@ -302,9 +302,10 @@ class TelemetryError(ReproError, RuntimeError):
 
 
 class ExperimentFailureError(ReproError, RuntimeError):
-    """One or more experiments failed (crashed, errored, or timed out).
+    """One or more experiments failed (crashed, errored, timed out, or
+    failed their own acceptance check, reason ``"gate"``).
 
-    Raised by the resilient runner after retries are exhausted.  Carries
+    Raised by the experiment runner once retries are exhausted.  Carries
     ``failures`` (experiment id -> one-line reason) and ``results`` (the
     experiments that *did* complete, in request order) so callers running
     with keep-going semantics can still report partial output.

@@ -1,4 +1,4 @@
-"""The E1–E24 experiment suite (see DESIGN.md section 3).
+"""The E1–E26 experiment suite (see DESIGN.md section 3).
 
 The paper has no tables or figures; each experiment here reifies one of
 its quantitative claims as a regenerable table.  Use::
@@ -8,8 +8,9 @@ its quantitative claims as a regenerable table.  Use::
     print(result.render())
 
 Each runner returns an :class:`repro.io.results.ExperimentResult`; the
-``fast`` flag shrinks size ladders for CI/benchmark use, and every
-runner is deterministic given ``seed``.
+``fast`` flag shrinks size ladders for CI use, every runner is
+deterministic given ``seed``, and each decides its own acceptance check
+(``result.passed``), on which ``repro run`` exits 1 when it fails.
 """
 
 from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment

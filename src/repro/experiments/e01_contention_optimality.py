@@ -101,6 +101,19 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                     "max_bias_est": round((phi - holdout) * d.params.s, 3),
                 }
             )
+    # Gate: s * phi stays under 4 on every row, and each exactly
+    # enumerated row sits under core.analysis's closed-form bound (the
+    # table rounds predicted_bound*s to 3 decimals; for pure positives
+    # the bound is tight, so the rounding slack is allowed).
+    passed = all(
+        row["s*phi (bounded?)"] < 4.0
+        and (
+            "predicted_bound*s" not in row
+            or row["max_step_phi"]
+            <= (row["predicted_bound*s"] + 5e-4) / row["s"]
+        )
+        for row in rows
+    )
     return ExperimentResult(
         experiment_id="E1",
         title="Low-contention dictionary: contention optimality",
@@ -120,4 +133,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "to remove it, and 'max_bias_est' is the measured inflation "
             "(plain minus holdout, in s*phi units)."
         ),
+        passed=passed,
     )

@@ -44,6 +44,9 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                 )
             rows.append(entry)
     lcd = [r for r in rows if r["scheme"] == "low-contention"]
+    # Linear space: words/key varies by under 30% across the sweep.
+    per_key = [r["words_per_key"] for r in lcd]
+    passed = max(per_key) / min(per_key) < 1.3
     return ExperimentResult(
         experiment_id="E3",
         title="Space usage: words per key",
@@ -57,4 +60,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "1-2 orders above binary search's 1 word/key floor but "
             "within a small factor of FKS."
         ),
+        passed=passed,
     )

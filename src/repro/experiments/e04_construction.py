@@ -7,8 +7,8 @@ repeated builds (should hover near a small constant, <= ~2 by the
 >= 1/2 - o(1) acceptance bound) and the construction *work* — table
 cells written during the build, a deterministic stand-in for build time
 (same seed, same count, regardless of machine load or parallelism) —
-fitted against a linear law.  Wall-clock construction timings live in
-``benchmarks/``.
+fitted against a linear law.  Wall-clock construction time is measured
+by ``stackbench`` (``core.construct.ms_per_build``).
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             }
         )
     fit = fit_growth_law(np.array(ns), np.array(work), "n")
+    # P(S) holds w.p. >= 1/2 - o(1) per draw, so the mean number of
+    # trials stays a small constant at every n.
+    passed = max(r["mean_trials"] for r in rows) < 4
     return ExperimentResult(
         experiment_id="E4",
         title="Construction cost: P(S) trials and build time",
@@ -62,4 +65,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "fits a linear law with mean relative error "
             f"{fit.mean_relative_error:.2f}."
         ),
+        passed=passed,
     )

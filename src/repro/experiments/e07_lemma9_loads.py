@@ -55,6 +55,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
         )
     worst_joint = min(r["P[all three]"] for r in rows)
     worst_c3 = min(r["P[cond3: FKS ok]"] for r in rows)
+    passed = worst_joint >= 0.5
     return ExperimentResult(
         experiment_id="E7",
         title="Lemma 9 load conditions: empirical success rates",
@@ -67,4 +68,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             f">= {worst_c3:.2f} vs the guaranteed 0.5); conditions 1-2 "
             "are essentially always satisfied at these sizes."
         ),
+        passed=passed,
     )

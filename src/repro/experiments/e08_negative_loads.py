@@ -58,6 +58,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                 }
             )
     worst = max(r["worst_load/fair_share"] for r in rows)
+    passed = all(r["<= 2 (Lemma 10)"] for r in rows)
     return ExperimentResult(
         experiment_id="E8",
         title="Negative query loads across hash levels",
@@ -69,4 +70,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "(the bucket level h -> [s] is the loosest, as its fair share "
             "N/s is smallest)."
         ),
+        passed=passed,
     )

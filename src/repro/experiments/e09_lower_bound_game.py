@@ -98,6 +98,9 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
         )
 
     target = n_game * 2.0 ** (-2 * d.max_probes)
+    # t*(n) never falls as n grows, and grows across the series.
+    ts = [r["t*(n)"] for r in rows if r["series"] == "recursion"]
+    passed = ts == sorted(ts) and ts[-1] > ts[0]
     return ExperimentResult(
         experiment_id="E9",
         title="Lower bound: t*(n) recursion series + concrete game",
@@ -113,4 +116,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "specifications are priced out each round, cutting A''s "
             "per-round information ~20x below the uncapped value."
         ),
+        passed=passed,
     )

@@ -101,6 +101,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "E[cells probed]": "",
         }
     )
+    passed = all(r[">= 1/4"] for r in rows)
     return ExperimentResult(
         experiment_id="E10",
         title="Product-space simulation of adaptive probes",
@@ -114,4 +115,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             f"4**(-t*) floor ({floor:.2e})."
         ),
         notes="In the '>= 1/4' column, the plan row checks the joint 4**(-t*) floor.",
+        passed=passed,
     )

@@ -59,6 +59,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                 else "(degenerate)",
             }
         )
+    passed = all(r["agree"] for r in rows)
     return ExperimentResult(
         experiment_id="E11",
         title="VC-dimension of data-structure problems",
@@ -70,4 +71,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "coefficients respect Sauer-Shelah; only problems with "
             "growing VC-dimension inherit the log log floor."
         ),
+        passed=passed,
     )

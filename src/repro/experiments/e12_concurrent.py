@@ -64,6 +64,13 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                         "m*maxPhi (prediction)": round(m * max_phi, 2),
                     }
                 )
+    # Queued binary search is serialized by its root cell: at most about
+    # one completion per cycle.
+    passed = all(
+        r["throughput/cycle"] <= 1.1
+        for r in rows
+        if r["scheme"] == "binary-search" and r["model"] == "queued"
+    )
     return ExperimentResult(
         experiment_id="E12",
         title="Concurrent throughput under m simultaneous queries",
@@ -76,4 +83,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "range and its collision peaks track the m * max Phi "
             "prediction within small-sample noise."
         ),
+        passed=passed,
     )

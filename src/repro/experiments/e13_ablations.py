@@ -75,6 +75,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                 "phi*n": round(phi * n, 2),
             }
         )
+    passed = any(r["variant"] == "paper defaults" for r in rows)
     return ExperimentResult(
         experiment_id="E13",
         title="Ablations: beta, degree, alpha, c",
@@ -88,4 +89,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "opposite directions exactly as Section 2.2's accounting "
             "predicts."
         ),
+        passed=passed,
     )

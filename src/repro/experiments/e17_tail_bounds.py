@@ -128,6 +128,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
         for r_ in rows
     ]
     finite = [v for v in slack if np.isfinite(v)]
+    passed = all(r["bound holds"] for r in rows)
     return ExperimentResult(
         experiment_id="E17",
         title="Tail-bound sharpness (Theorems 6-8)",
@@ -141,4 +142,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             f"{trials} draws — the conservatism that makes E7's "
             "acceptance rates ~1.0 against Lemma 9's 1/2 guarantee."
         ),
+        passed=passed,
     )

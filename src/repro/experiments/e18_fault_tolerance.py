@@ -128,6 +128,15 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
         r["wrong_rate"] + r["failed_rate"] for r in maj if r["R"] == biggest
     )
     fo = [r for r in rows if r["mode"] == "failover"]
+    # Majority voting at the largest R answers nothing wrong, and
+    # failover never fails more often than random routing at the same R.
+    crash = [r for r in rows if r["series"] == "crash"]
+    random_failed = {
+        r["R"]: r["failed_rate"] for r in crash if r["mode"] == "random"
+    }
+    passed = all(
+        r["wrong_rate"] == 0.0 for r in maj if r["R"] == biggest
+    ) and all(r["failed_rate"] <= random_failed[r["R"]] for r in fo)
     return ExperimentResult(
         experiment_id="E18",
         title="Fault tolerance bought by replication (stuck cells, "
@@ -145,4 +154,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "contention still divides exactly by R (the E15 price, "
             "nothing extra)."
         ),
+        passed=passed,
     )

@@ -180,6 +180,15 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
     rr_max = by_router["round-robin"][0]
     ll_max = by_router["least-loaded"][0]
     win = 1.0 - ll_max / rr_max
+    # Every step's hottest cell within 3 sigma of Binomial(Q, Phi_t),
+    # least-loaded beating round-robin, and no wrong answer under the
+    # crashed replica.
+    passed = (
+        bool(phi_rows)
+        and all(r["z"] <= 3.0 for r in phi_rows)
+        and ll_max < rr_max
+        and rep_c.wrong_answers == 0
+    )
     return ExperimentResult(
         experiment_id="E19",
         title="Live serving: measured load matches exact Phi_t; "
@@ -205,4 +214,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "inflation. Loads in part B are probes charged by the live "
             "ProbeCounter, not request counts."
         ),
+        passed=passed,
     )

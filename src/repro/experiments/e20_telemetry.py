@@ -228,6 +228,14 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
     detected_ok = (
         detected_c is not None and detected_c <= DETECTION_BUDGET_BATCHES
     )
+    passed = (
+        identical
+        and not mon_b.alarms
+        and mon_b.checks >= 100
+        and detected_ok
+        and not bal_h.alarms
+        and detected_d is not None
+    )
     return ExperimentResult(
         experiment_id="E20",
         title="Telemetry: zero-perturbation observation and live "
@@ -256,4 +264,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "gate), against a max-of-Gaussians-corrected threshold "
             "sigma + sqrt(2 ln m) over the m tested cells."
         ),
+        passed=passed,
     )

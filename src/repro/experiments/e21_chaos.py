@@ -30,6 +30,11 @@ and a hot-key contention spike — under open-loop load.  The claims:
 5. **Bounded recovery.**  Both healable faults (the corrupted and the
    crashed replica) complete quarantine → repair → canary → healthy
    within the run, with recorded MTTR.
+6. **Dormant hooks are inert.**  A fault-free serve run with the fault
+   hooks armed but every rate zero (the state every chaos run starts
+   from) charges byte-identical probe accounting to the same run on a
+   plain service.  ``tools/timing_gates.py e21`` times this same run
+   to bound the hooks' wall-clock overhead.
 
 Everything — fault times, damaged cells, workload, healing RNG — is a
 deterministic function of ``seed``.
@@ -52,6 +57,7 @@ from repro.serve import (
     HealthConfig,
     build_service,
     run_chaos,
+    run_loadgen,
 )
 from repro.serve.chaos import require_armed
 from repro.telemetry import TelemetryHub
@@ -69,6 +75,30 @@ CLAIM = (
 
 #: One-sided z allowance above the max-of-Gaussians correction.
 SIGMA = 4.0
+
+#: Requests in the fault-free run that compares dormant hooks with none.
+CLEAN_REQUESTS = 1200
+
+
+def clean_service(keys, N, armed: bool, seed: int):
+    """A fault-free service, its fault hooks armed-but-inert or absent."""
+    return build_service(
+        keys, N, num_shards=1, replicas=3, router="random",
+        max_batch=32, max_delay=0.25, capacity=1024,
+        faults=FaultConfig(armed=True) if armed else None, seed=seed + 1,
+    )
+
+
+def serve_clean(service, keys, N, seed: int):
+    """Serve a uniform load on a :func:`clean_service`.
+
+    Returns the loadgen report and each shard's query-counter digest.
+    """
+    report = run_loadgen(
+        service, uniform_distribution(keys, N), num_requests=CLEAN_REQUESTS,
+        rate=256.0, seed=seed + 3, expected_keys=keys,
+    )
+    return report, tuple(d.table.counter.digest() for d in service.shards)
 
 
 def _window_check(d, phi_total, snap_a, snap_b, label):
@@ -292,6 +322,25 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
         rows.append(row)
 
     envelope_ok = all(r["ok"] and r["quiet"] for r in window_rows)
+
+    # -- dormant hooks -----------------------------------------------------------
+    plain, plain_digests = serve_clean(
+        clean_service(keys, N, False, seed), keys, N, seed
+    )
+    inert, inert_digests = serve_clean(
+        clean_service(keys, N, True, seed), keys, N, seed
+    )
+    inert_ok = (
+        inert_digests == plain_digests
+        and plain.wrong_answers == inert.wrong_answers == 0
+    )
+    rows.append({
+        "part": "inert-hooks",
+        "requested": CLEAN_REQUESTS,
+        "completed": inert.completed,
+        "wrong_answers": plain.wrong_answers + inert.wrong_answers,
+        "byte_identical": inert_digests == plain_digests,
+    })
     reduced = window_rows[1]["live"].count(",") + 1 if window_rows[1]["live"] else 0
     mttr_ok = len(mttr) >= 2 and max(mttr) <= report.duration
     # The corrupted replica must have travelled the full quarantine ->
@@ -307,8 +356,11 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
         and sorted(healed) == [1, 3]
         and corrupt_arc
         and repaired_ok
+        and manager.stats.cells_repaired > 0
+        and manager.stats.rows_rebuilt > 0
         and envelope_ok
         and mttr_ok
+        and inert_ok
     )
     return ExperimentResult(
         experiment_id="E21",
@@ -331,6 +383,8 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             f"stayed inside the Binomial(Q, Phi_t) envelope in all "
             f"three constant-live-set windows (healthy R=5, then "
             f"R'={reduced}), with zero probes on quarantined blocks. "
+            f"Armed-but-inert fault hooks leave a clean run's accounting "
+            f"{'byte-identical' if inert_ok else 'DIFFERENT'}. "
             f"Overall: {'PASS' if passed else 'FAIL'}."
         ),
         notes=(
@@ -346,4 +400,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "scrubber bounds detection for cold damage at one full "
             "pass either way."
         ),
+        passed=passed,
     )

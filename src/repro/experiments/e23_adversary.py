@@ -187,6 +187,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
     rows.extend(fixture_rows)
     fixtures_ok = all(r["passed"] for r in fixture_rows)
     ok = all_beat and all_verified and fabric_ok and fixtures_ok
+    passed = ok and bool(fixture_rows)
     return ExperimentResult(
         experiment_id="E23",
         title="Adversarial search: evolution vs the self-healing stack",
@@ -218,4 +219,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "time could dispatch into a replica quarantined moments "
             "earlier by a witness verifying a sibling group."
         ),
+        passed=passed,
     )

@@ -346,4 +346,5 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
             "digests are byte-identical to an unverified replay."
             + ("" if all_ok else "  *** GATE FAILED ***")
         ),
+        passed=all_ok,
     )

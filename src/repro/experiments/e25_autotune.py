@@ -541,4 +541,5 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         claim=CLAIM,
         rows=rows,
         finding=finding,
+        passed=all_ok,
     )

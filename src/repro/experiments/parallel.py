@@ -37,6 +37,11 @@ scheduler that
   raising :class:`~repro.errors.ExperimentFailureError` either way with
   the partial results attached.
 
+On every path, a completed experiment whose own acceptance check failed
+(``ExperimentResult.passed is False``) is reported the same way, as
+failure reason ``"gate"``, after all results are in: it is never
+retried, since the runners are deterministic in ``seed``.
+
 Experiments are deterministic in ``seed``, so a resumed run's output is
 identical to an uninterrupted one.
 """
@@ -176,7 +181,10 @@ def run_experiments(
     (see the module docstring); leaving them all at their defaults runs
     the plain deterministic path unchanged.  ``telemetry_dir`` writes
     one bus-collected metrics snapshot per experiment (results stay
-    byte-identical — collection cannot perturb the runs).
+    byte-identical — collection cannot perturb the runs).  A completed
+    experiment that fails its own gate raises
+    :class:`~repro.errors.ExperimentFailureError` with every result
+    attached.
     """
     ids = normalize_ids(ids)
     jobs = int(jobs)
@@ -203,15 +211,31 @@ def run_experiments(
             retry_backoff, checkpoint_dir, keep_going, telemetry_dir,
         )
     if jobs == 1 or len(ids) <= 1:
-        return [
+        results = [
             _run_instrumented(eid, fast, seed, telemetry_dir) for eid in ids
         ]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-        futures = [
-            pool.submit(_run_one, eid, fast, seed, cache_dir, telemetry_dir)
-            for eid in ids
-        ]
-        return [f.result() for f in futures]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
+            futures = [
+                pool.submit(
+                    _run_one, eid, fast, seed, cache_dir, telemetry_dir
+                )
+                for eid in ids
+            ]
+            results = [f.result() for f in futures]
+    failures = _gate_failures(results)
+    if failures:
+        raise ExperimentFailureError(failures, results)
+    return results
+
+
+def _gate_failures(results: Iterable[ExperimentResult]) -> dict[str, str]:
+    """``{id: "gate"}`` for every result whose own acceptance check failed.
+
+    A result with no verdict (``passed is None``, saved before
+    experiments decided their gates) is not a failure.
+    """
+    return {r.experiment_id: "gate" for r in results if r.passed is False}
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -403,6 +427,7 @@ def _run_resilient(
                         break
                 else:
                     done[eid] = result
+    failures.update(_gate_failures(done[eid] for eid in ids if eid in done))
     if failures:
         raise ExperimentFailureError(
             failures, [done[eid] for eid in ids if eid in done]

@@ -25,6 +25,11 @@ class ExperimentResult:
     ``rows`` is the table body; ``claim`` quotes what the paper asserts;
     ``finding`` summarizes what the measurement showed (filled by the
     runner).  EXPERIMENTS.md is assembled from these.
+
+    ``passed`` is the experiment's own acceptance check, decided by its
+    runner from the rows it measured; ``repro run`` exits 1 when it is
+    False.  ``None`` means no verdict was recorded: a result saved
+    before experiments decided their gates loads that way.
     """
 
     experiment_id: str
@@ -33,6 +38,7 @@ class ExperimentResult:
     rows: list[dict]
     finding: str = ""
     notes: str = ""
+    passed: bool | None = None
 
     def render(self) -> str:
         """Human-readable block: header, claim, table, finding, notes."""

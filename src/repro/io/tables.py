@@ -2,8 +2,8 @@
 
 Rows are dicts; columns are inferred from the first row (or given
 explicitly).  Numbers are right-aligned with compact formatting; this
-is what the benchmark harness prints so that every experiment
-regenerates a readable paper-style table.
+is what ``repro run`` prints so that every experiment regenerates a
+readable paper-style table.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Every instrumented site in the library guards its emission behind
 no event objects, no callable dispatch, and no RNG perturbation.  The
 property test in ``tests/test_telemetry_integration.py`` proves probe
 accounting identical with the layer disabled, and
-``benchmarks/bench_e20_telemetry.py`` gates the hot-path overhead.
+``python tools/timing_gates.py e20`` gates the hot-path overhead.
 
 Four coordinated pieces:
 

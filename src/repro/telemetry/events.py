@@ -12,8 +12,8 @@ no event object is ever constructed, no callable is ever invoked, and
 (crucially for this library) no RNG stream is ever touched.  The
 disabled path is property-tested to leave per-cell, per-step probe
 accounting byte-identical to the uninstrumented code
-(``tests/test_telemetry_integration.py``), and the benchmark gate
-(``benchmarks/bench_e20_telemetry.py``) bounds its overhead on the
+(``tests/test_telemetry_integration.py``), and the timing gate
+(``python tools/timing_gates.py e20``) bounds its overhead on the
 batch-query hot path at 2%.
 
 Events are small frozen dataclasses (one per instrumented layer of the

@@ -38,6 +38,7 @@ from repro.dictionaries import (
 )
 from repro.distributions import UniformPositiveNegative
 from repro.errors import ParameterError, TableError, VerificationError
+from repro.experiments.common import make_instance
 from repro.hashing.polynomial import horner_eval_batch
 from repro.utils.bits import (
     decode_unary_histogram,
@@ -153,6 +154,16 @@ def test_empirical_contention_matches_exact_support(lcd, uniform_dist):
     assert matrix.phi.shape[1] == lcd.table.num_cells
     # First probe of every query hits a coefficient row: mass exactly 1.
     assert matrix.step_mass()[0] == pytest.approx(1.0)
+
+
+def test_batched_estimator_first_step_mass_is_exactly_one():
+    """On a 256-key instance with 20k batched queries, every query's
+    first probe lands on a coefficient row: step 0 carries mass 1.0."""
+    keys, N = make_instance(256, 0)
+    d = LowContentionDictionary(keys, N, rng=as_generator(1))
+    dist = UniformPositiveNegative(N, keys, 0.5)
+    matrix = empirical_contention(d, dist, 20_000, rng=as_generator(2))
+    assert matrix.step_mass()[0] == 1.0
 
 
 def test_empirical_contention_raises_typed_error(fks, keys, universe_size):

@@ -88,6 +88,25 @@ def test_run_keep_going_renders_survivors(capsys):
     assert "[E9]" in captured.out
 
 
+def test_run_failed_gate_exits_one_and_still_renders(monkeypatch, capsys):
+    # A completed experiment whose own acceptance check fails: its table
+    # is printed, stderr gets one line, the exit code is 1.
+    import repro.experiments.registry as registry
+    from repro.io.results import ExperimentResult
+
+    def failing(fast=False, seed=0):
+        return ExperimentResult(
+            experiment_id="E11", title="stub", claim="c",
+            rows=[{"x": 1}], finding="f", passed=False,
+        )
+
+    monkeypatch.setitem(registry.EXPERIMENTS, "E11", ("stub", failing))
+    assert main(["run", "E11"]) == 1
+    captured = capsys.readouterr()
+    assert "[E11] stub" in captured.out
+    assert captured.err == "error: E11 failed: gate\n"
+
+
 def test_checkpoint_resume_round_trip(tmp_path, capsys):
     ckpt = str(tmp_path / "ckpts")
     assert main(["run", "E11", "--checkpoint-dir", ckpt]) == 0

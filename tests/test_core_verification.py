@@ -35,6 +35,15 @@ class TestValidTables:
         assert any("key set" in p for p in problems)
 
 
+    def test_thousand_key_build_verifies(self):
+        universe = 1024 * 1024
+        keys = np.sort(
+            np.random.default_rng(0).choice(universe, size=1024, replace=False)
+        )
+        d = LowContentionDictionary(keys, universe, rng=np.random.default_rng(7))
+        assert verify_dictionary(d) == []
+
+
 class TestCorruptionDetection:
     def _corrupt(self, fresh, row, col, value):
         fresh.table._cells[row, col] = np.uint64(value)

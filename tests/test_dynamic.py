@@ -15,6 +15,7 @@ from repro.dynamic import (
 from repro.dynamic.levels import (
     LevelStructure,
     SingletonDictionary,
+    _install_owed,
     encode_delete,
     encode_insert,
 )
@@ -254,6 +255,7 @@ class TestLevelEdgeCases:
         ls._install(0, {1: True})
         ls._install(3, {k: False for k in range(2, 10)})
         ls._maybe_flatten()
+        _install_owed([ls])
         nonempty = ls.nonempty_levels
         assert len(nonempty) == 1
         assert nonempty[0].index == 0
@@ -264,6 +266,7 @@ class TestLevelEdgeCases:
         ls = LevelStructure(1 << 10, np.random.default_rng(11))
         ls._install(3, {k: False for k in range(8)})
         ls._maybe_flatten()
+        _install_owed([ls])
         assert ls.nonempty_levels == []
         assert ls.total_entries == 0
         assert ls.live_keys() == []

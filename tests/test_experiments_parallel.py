@@ -288,6 +288,35 @@ class TestCheckpoints:
             parallel_mod._run_isolated = orig
         assert [r.render() for r in first] == [r.render() for r in second]
 
+    def test_checkpoint_without_verdict_still_resumes(self, tmp_path):
+        # Checkpoints written before results carried ``passed`` lack the
+        # field: they load with no verdict, and a resume neither
+        # recomputes them nor reports them as failed.
+        import json
+
+        import repro.experiments.parallel as parallel_mod
+        from repro.experiments.parallel import checkpoint_path, save_checkpoint
+
+        save_checkpoint(tmp_path, "E11", True, 0, self._result())
+        path = checkpoint_path(tmp_path, "E11", True, 0)
+        data = json.loads(path.read_text())
+        del data["result"]["passed"]
+        path.write_text(json.dumps(data))
+
+        def _boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("resumed run recomputed an experiment")
+
+        orig = parallel_mod._run_isolated
+        parallel_mod._run_isolated = _boom
+        try:
+            (loaded,) = run_experiments(
+                ["E11"], seed=0, checkpoint_dir=tmp_path
+            )
+        finally:
+            parallel_mod._run_isolated = orig
+        assert loaded.passed is None
+        assert loaded.render() == self._result().render()
+
     def test_partial_checkpoints_resume_the_rest(self, tmp_path):
         from repro.experiments.parallel import load_checkpoint
 
