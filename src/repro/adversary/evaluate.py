@@ -414,7 +414,7 @@ def _dynamic_stage(genome: Genome, config: EvalConfig, seed) -> dict:
     row = svc.stats_row()
     shard = svc.shards[0]
     rebuilds = sum(
-        len(shard._replicas[r].account.rebuilds)
+        len(shard.account(r).rebuilds)
         for r in shard.live_replicas()
     )
     return {

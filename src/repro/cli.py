@@ -3,7 +3,7 @@
 Commands
 --------
 
-- ``list [--json]`` — show the experiment registry (E1–E23) with
+- ``list [--json]`` — show the experiment registry (E1–E26) with
   titles (``--json`` prints a machine-readable object including the
   telemetry capability descriptor).
 - ``run E5 [--full] [--seed 0] [--json out.json]`` — run one experiment
@@ -795,12 +795,11 @@ def _cmd_checkpoint_restore(args) -> int:
     return 0
 
 
-def _cmd_loadgen(args) -> int:
-    from repro.io import render_table
+def _run_loadgen(args, service, dist, keys):
+    """The seeded ``--requests`` workload of ``loadgen``/``stats``/``trace``."""
     from repro.serve import run_loadgen
 
-    keys, N, service, dist = _make_service(args)
-    report = run_loadgen(
+    return run_loadgen(
         service,
         dist,
         args.requests,
@@ -811,6 +810,12 @@ def _cmd_loadgen(args) -> int:
         seed=args.seed + 4,
         expected_keys=keys,
     )
+
+
+def _cmd_loadgen(args) -> int:
+    from repro.io import render_table
+    keys, N, service, dist = _make_service(args)
+    report = _run_loadgen(args, service, dist, keys)
     print(
         render_table(
             [report.row()],
@@ -832,7 +837,6 @@ def _cmd_loadgen(args) -> int:
 
 def _cmd_stats(args) -> int:
     from repro.io import render_table
-    from repro.serve import run_loadgen
     from repro.telemetry import ContentionMonitor, TelemetryHub
 
     keys, N, service, dist = _make_service(args)
@@ -855,17 +859,7 @@ def _cmd_stats(args) -> int:
         metrics=True, contention=monitor, check_every=args.check_every
     )
     service.attach_telemetry(hub)
-    report = run_loadgen(
-        service,
-        dist,
-        args.requests,
-        discipline=args.discipline,
-        rate=args.rate,
-        clients=args.clients,
-        think_time=args.think_time,
-        seed=args.seed + 4,
-        expected_keys=keys,
-    )
+    report = _run_loadgen(args, service, dist, keys)
     print(
         render_table(
             hub.metrics.rows(),
@@ -1083,23 +1077,12 @@ def _cmd_adversary_minimize(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.serve import run_loadgen
     from repro.telemetry import TelemetryHub
 
     keys, N, service, dist = _make_service(args)
     hub = TelemetryHub(metrics=True, tracing=True)
     service.attach_telemetry(hub)
-    run_loadgen(
-        service,
-        dist,
-        args.requests,
-        discipline=args.discipline,
-        rate=args.rate,
-        clients=args.clients,
-        think_time=args.think_time,
-        seed=args.seed + 4,
-        expected_keys=keys,
-    )
+    _run_loadgen(args, service, dist, keys)
     tracer = hub.tracer
     path = tracer.save(args.out, fmt=args.fmt)
     print(
@@ -1223,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--probe-time",
             type=float,
             default=0.0,
-            help="virtual replica service time per probe (loadgen only)",
+            help="virtual replica service time per probe",
         )
         p.add_argument(
             "--workload", default="uniform", choices=("uniform", "zipf")
@@ -1302,24 +1285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.set_defaults(func=_cmd_serve)
 
-    loadgen_p = sub.add_parser(
-        "loadgen", help="deterministic load generation against a service"
-    )
-    add_service_options(loadgen_p)
-    loadgen_p.add_argument("--requests", type=int, default=2000)
-    loadgen_p.add_argument(
-        "--discipline", default="open", choices=("open", "closed")
-    )
-    loadgen_p.add_argument(
-        "--rate", type=float, default=64.0, help="open-loop arrival rate"
-    )
-    loadgen_p.add_argument(
-        "--clients", type=int, default=16, help="closed-loop population"
-    )
-    loadgen_p.add_argument("--think-time", type=float, default=0.0)
-    loadgen_p.add_argument("--json", help="also write the report as JSON")
-    loadgen_p.set_defaults(func=_cmd_loadgen)
-
     def add_loadgen_options(p) -> None:
         p.add_argument("--requests", type=int, default=2000)
         p.add_argument(
@@ -1332,6 +1297,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--clients", type=int, default=16, help="closed-loop population"
         )
         p.add_argument("--think-time", type=float, default=0.0)
+
+    loadgen_p = sub.add_parser(
+        "loadgen", help="deterministic load generation against a service"
+    )
+    add_service_options(loadgen_p)
+    add_loadgen_options(loadgen_p)
+    loadgen_p.add_argument("--json", help="also write the report as JSON")
+    loadgen_p.set_defaults(func=_cmd_loadgen)
 
     stats_p = sub.add_parser(
         "stats", help="collected metrics for a seeded workload"

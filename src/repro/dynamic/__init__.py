@@ -24,9 +24,10 @@ direction:
   pins open, retirement reclaims eagerly).
 - :mod:`~repro.dynamic.replicated` — state-machine replication:
   :class:`ReplicatedDynamicDictionary` runs R replicas in
-  deterministic lockstep on spawned rng streams (same key set,
-  independent cells), serves majority-vote reads, and rebuilds a
-  crashed replica by full-log replay into byte-identical state; all
+  deterministic lockstep on spawned rng streams over one shared level
+  list (same entries, one table per replica: independent cells),
+  serves majority-vote reads, and rebuilds a crashed replica by log
+  replay of its stream into byte-identical tables; all
   rebuild/verification probes are charged to separate rebuild
   counters via :func:`repro.heal.charged_to`.
 
@@ -42,7 +43,7 @@ digest byte-identity.
 from repro.dynamic.accounting import RebuildRecord, UpdateCostAccount
 from repro.dynamic.dictionary import DynamicLowContentionDictionary
 from repro.dynamic.epoch import EpochManager, EpochPin
-from repro.dynamic.levels import Level, LevelStructure
+from repro.dynamic.levels import Level, LevelStructure, Stream
 from repro.dynamic.replicated import (
     DynamicFaultStats,
     ReplicatedDynamicDictionary,
@@ -52,6 +53,7 @@ __all__ = [
     "DynamicLowContentionDictionary",
     "LevelStructure",
     "Level",
+    "Stream",
     "UpdateCostAccount",
     "RebuildRecord",
     "EpochManager",

@@ -15,13 +15,16 @@ recorded in an :class:`~repro.dynamic.accounting.UpdateCostAccount`.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from repro.distributions.base import QueryDistribution
 from repro.dynamic.accounting import UpdateCostAccount
-from repro.dynamic.levels import LevelStructure, lookup_levels
+from repro.dynamic.levels import (
+    LevelStructure,
+    Stream,
+    check_queries,
+    counter_digest,
+)
 from repro.errors import ParameterError, QueryError
 from repro.utils.rng import as_generator
 
@@ -39,17 +42,17 @@ class DynamicLowContentionDictionary:
         min_level_width: int = 0,
         verify_rebuilds: bool = False,
         verify_seed: int = 0,
-        on_retire=None,
     ):
         self.universe_size = int(universe_size)
         self.rng = as_generator(rng)
         self.account = UpdateCostAccount()
+        # The one-stream case of the replicated level list.
         self._levels = LevelStructure(
-            self.universe_size, self.rng, self.account, max_trials,
+            self.universe_size,
+            {0: Stream(self.rng, self.account, verify_seed)},
+            max_trials,
             min_level_width=min_level_width,
             verify_rebuilds=verify_rebuilds,
-            verify_seed=verify_seed,
-            on_retire=on_retire,
         )
 
     # -- updates ---------------------------------------------------------------------
@@ -64,28 +67,11 @@ class DynamicLowContentionDictionary:
 
     def insert(self, key: int) -> None:
         """Insert ``key`` (idempotent)."""
-        self.update_lockstep([self], key, True)
+        self._levels.update(self._check_update_key(key), True)
 
     def delete(self, key: int) -> None:
         """Delete ``key`` (no-op when absent)."""
-        self.update_lockstep([self], key, False)
-
-    @staticmethod
-    def update_lockstep(replicas, key: int, is_insert: bool) -> None:
-        """Apply one update to replicas that hold the same key set.
-
-        Every replica records the update; those whose state it changes
-        apply it together (:meth:`LevelStructure.apply_lockstep`), so a
-        level the update rebuilds is built once for all of them.  Each
-        replica ends as the update applied to it alone leaves it.
-        """
-        movers = []
-        for d in replicas:
-            key = d._check_update_key(key)
-            d.account.record_update()
-            if d._levels.state_of(key) != is_insert:
-                movers.append(d._levels)
-        LevelStructure.apply_lockstep(movers, key, bool(is_insert))
+        self._levels.update(self._check_update_key(key), False)
 
     # -- queries ---------------------------------------------------------------------
 
@@ -97,17 +83,6 @@ class DynamicLowContentionDictionary:
             )
         return x
 
-    def _check_keys_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.size and (
-            int(xs.min()) < 0 or int(xs.max()) >= self.universe_size
-        ):
-            bad = xs[(xs < 0) | (xs >= self.universe_size)][0]
-            raise QueryError(
-                f"query {int(bad)} outside universe [0, {self.universe_size})"
-            )
-        return xs
-
     def query(self, x: int, rng=None) -> bool:
         """Honest membership query: :meth:`query_batch` of one key."""
         x = self._check_key(x)
@@ -116,16 +91,14 @@ class DynamicLowContentionDictionary:
     def query_batch(self, xs, rng=None) -> np.ndarray:
         """Honest membership queries for a whole batch, vectorized.
 
-        Walks levels newest-first (:func:`lookup_levels`), one static
+        Walks levels newest-first
+        (:func:`~repro.dynamic.levels.lookup_levels`), one static
         lookup per non-empty level for the keys still undecided there;
         a key decided at a newer level is never probed at an older one.
         A key is a member iff the newest level that pins it holds an
         insert entry for it.
         """
-        xs = self._check_keys_batch(xs)
-        rng = as_generator(rng)
-        self.account.record_query(xs.size)
-        return lookup_levels(self._levels.levels, xs, rng) == 1
+        return self._levels.query_batch(xs, as_generator(rng))
 
     def contains(self, x: int) -> bool:
         """Ground truth (no probes)."""
@@ -133,7 +106,7 @@ class DynamicLowContentionDictionary:
 
     def contains_batch(self, xs) -> np.ndarray:
         """Vectorized ground-truth membership (no probes)."""
-        xs = self._check_keys_batch(xs)
+        xs = check_queries(xs, self.universe_size)
         return np.isin(xs, self.live_keys())
 
     # -- structure introspection --------------------------------------------------------
@@ -155,14 +128,15 @@ class DynamicLowContentionDictionary:
     @property
     def space_words(self) -> int:
         return sum(
-            lv.structure.table.num_cells
+            lv.structures[0].table.num_cells
             for lv in self._levels.nonempty_levels
         )
 
     @property
     def max_probes(self) -> int:
         return sum(
-            lv.structure.max_probes for lv in self._levels.nonempty_levels
+            lv.structures[0].max_probes
+            for lv in self._levels.nonempty_levels
         )
 
     @property
@@ -178,11 +152,7 @@ class DynamicLowContentionDictionary:
         ``verify_rebuilds=True`` run and a plain run of the same seeded
         stream — the accounting-isolation check E24 gates on.
         """
-        h = hashlib.sha256()
-        for lv in self._levels.nonempty_levels:
-            h.update(lv.index.to_bytes(4, "little"))
-            h.update(lv.structure.table.counter.digest().encode("ascii"))
-        return h.hexdigest()
+        return counter_digest(self._levels.levels)
 
     # -- contention measurement -----------------------------------------------------------
 
@@ -201,7 +171,7 @@ class DynamicLowContentionDictionary:
         rng = as_generator(rng)
         levels = self._levels.nonempty_levels
         for lv in levels:
-            lv.structure.table.counter.reset()
+            lv.structures[0].table.counter.reset()
         xs = np.asarray(distribution.sample(rng, num_queries), dtype=np.int64)
         answers = self.query_batch(xs, rng)
         truth = np.isin(xs, self.live_keys())
@@ -215,7 +185,8 @@ class DynamicLowContentionDictionary:
         total_probes = 0
         global_max = 0.0
         for lv in levels:
-            counter = lv.structure.table.counter
+            structure = lv.structures[0]
+            counter = structure.table.counter
             counts = counter.total_counts()
             total_probes += int(counts.sum())
             level_max = float(counts.max(initial=0)) / num_queries
@@ -224,9 +195,9 @@ class DynamicLowContentionDictionary:
                 {
                     "level": lv.index,
                     "entries": lv.size,
-                    "s": lv.structure.table.s,
+                    "s": structure.table.s,
                     "max_contention": level_max,
-                    "floor_1_over_s": 1.0 / lv.structure.table.s,
+                    "floor_1_over_s": 1.0 / structure.table.s,
                 }
             )
             counter.reset()

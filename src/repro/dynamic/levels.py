@@ -30,15 +30,21 @@ fires.  Code that assigns ``levels`` directly must call
 :meth:`LevelStructure.recount` afterwards.
 
 Replicas that apply one log hold the same entries; only their random
-draws differ.  :meth:`LevelStructure.apply_lockstep` applies an operation
-to all of them, building each level it installs once for all replicas,
-each drawing from its own generator; :meth:`LevelStructure.apply` is its
-one-structure case.
+draws differ.  So one :class:`LevelStructure` serves a whole replica
+set: each :class:`Level` holds its entries once plus one static
+structure per replica, and each replica is a :class:`Stream` (its
+generator, cost account and verify seed).  An operation is checked,
+carried, flattened and retired once, and each level it installs is
+built once for every stream, each drawing from its own generator
+(:meth:`LowContentionDictionary.build_lockstep`), so every replica's
+tables and generator state are those it would have alone.  The
+standalone dictionary is the one-stream case.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from repro.cellprobe.counters import ProbeCounter
 from repro.cellprobe.table import EMPTY_CELL, Table
 from repro.core import LowContentionDictionary
 from repro.dictionaries.base import StaticDictionary
+from repro.dynamic.accounting import UpdateCostAccount
 from repro.errors import ParameterError, QueryError, VerificationError
 from repro.heal import charged_to
 from repro.telemetry.events import BUS, RebuildEvent
@@ -164,20 +171,34 @@ class SingletonDictionary(StaticDictionary):
 
 
 @dataclasses.dataclass
-class Level:
-    """One level: its entries (key -> is_insert) and static structure.
+class Stream:
+    """One replica's own state under a shared level list.
 
-    ``rebuild_counter`` (set only when rebuild verification is on) holds
-    the probes the post-build canary sweep charged — the same
-    :class:`~repro.cellprobe.counters.ProbeCounter` substrate as the
-    query counter, but a *separate* instance, so the query counter's
-    Binomial(Q, Φ_t) envelope statements stay clean.
+    Its generator draws the replica's tables, its cost account records
+    the updates, queries and rebuilds the replica sees, and its verify
+    seed seeds the canary sweeps of the replica's new tables.
+    """
+
+    rng: np.random.Generator
+    account: UpdateCostAccount = dataclasses.field(
+        default_factory=UpdateCostAccount
+    )
+    verify_seed: int = 0
+
+
+@dataclasses.dataclass
+class Level:
+    """One level: its entries (key -> is_insert) and each replica's table.
+
+    ``structures`` maps a replica to its static structure over the
+    entries.  An installed level is never relinked to other structures:
+    pinned readers keep walking it, and a rebuilt replica's tables go
+    into new levels.
     """
 
     index: int
     entries: dict  # key -> bool (True = insert)
-    structure: StaticDictionary
-    rebuild_counter: ProbeCounter | None = None
+    structures: dict  # replica -> StaticDictionary
 
     @property
     def size(self) -> int:
@@ -188,15 +209,16 @@ class Level:
         return self.entries.get(int(key))
 
 
-def lookup_levels(levels, xs, rng) -> np.ndarray:
+def lookup_levels(levels, xs, rng, replica: int = 0) -> np.ndarray:
     """Each key's state under a newest-first level list, by honest reads.
 
     Every non-empty level visited makes one static lookup
-    (``structure.lookup_batch``) for the keys no newer level has pinned:
-    it reads the word ``w`` at each key's slot and pins key ``k`` iff
-    ``w >> 1 == k``, with state ``w & 1``.  A key pinned at a newer level
-    is never probed at an older one.  Returns int8 states in the shape
-    of ``xs``: 1 inserted, 0 deleted, :data:`ABSENT` in no level.
+    (``lookup_batch`` on ``replica``'s structure) for the keys no newer
+    level has pinned: it reads the word ``w`` at each key's slot and
+    pins key ``k`` iff ``w >> 1 == k``, with state ``w & 1``.  A key
+    pinned at a newer level is never probed at an older one.  Returns
+    int8 states in the shape of ``xs``: 1 inserted, 0 deleted,
+    :data:`ABSENT` in no level.
     """
     xs = np.asarray(xs, dtype=np.int64)
     flat = xs.ravel()
@@ -208,34 +230,57 @@ def lookup_levels(levels, xs, rng) -> np.ndarray:
         if not pending.size:
             break
         keys = flat[pending]
-        words = level.structure.lookup_batch(keys, rng)
+        words = level.structures[replica].lookup_batch(keys, rng)
         pinned = (words >> 1) == keys.astype(np.uint64)
         states[pending[pinned]] = words[pinned] & 1
         pending = pending[~pinned]
     return states.reshape(xs.shape)
 
 
+def check_queries(xs, universe_size: int) -> np.ndarray:
+    """``xs`` as int64; :class:`QueryError` for a key outside the universe."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (int(xs.min()) < 0 or int(xs.max()) >= universe_size):
+        bad = xs[(xs < 0) | (xs >= universe_size)][0]
+        raise QueryError(
+            f"query {int(bad)} outside universe [0, {universe_size})"
+        )
+    return xs
+
+
+def counter_digest(levels, replica: int = 0) -> str:
+    """SHA-256 over one replica's query counters, level by level in order."""
+    h = hashlib.sha256()
+    for lv in levels:
+        if lv is not None:
+            h.update(lv.index.to_bytes(4, "little"))
+            counter = lv.structures[replica].table.counter
+            h.update(counter.digest().encode("ascii"))
+    return h.hexdigest()
+
+
 class LevelStructure:
-    """The level list plus merge/flatten logic (no probe accounting here;
-    the structures inside levels do their own)."""
+    """The level list plus merge/flatten logic for a set of replicas (no
+    probe accounting here; the structures inside levels do their own).
+
+    ``streams`` maps each replica the structure builds for to its
+    :class:`Stream`, in replica order.
+    """
 
     def __init__(
         self,
         universe_size: int,
-        rng=None,
-        account=None,
+        streams: dict,
         max_trials: int = 500,
         min_level_width: int = 0,
         verify_rebuilds: bool = False,
-        verify_seed: int = 0,
         on_retire=None,
     ):
         self.universe_size = int(universe_size)
-        self.rng = as_generator(rng)
+        self.streams: dict[int, Stream] = dict(streams)
         self.levels: list[Level | None] = []
         #: Keys whose newest entry is an insert (== len(live_keys())).
         self._live = 0
-        self.account = account
         self.max_trials = max_trials
         # Pad every level's table to at least this many cells per row.
         # 0 = paper-pure sizing (s = beta * level size): small levels then
@@ -244,22 +289,18 @@ class LevelStructure:
         # O(n log n) space cost — the dynamization trade-off E14 measures.
         self.min_level_width = int(min_level_width)
         # Canary-read every entry after each rebuild, charged to a
-        # per-level rebuild counter (never the query counter).  The
+        # rebuild counter of its own (never the query counter).  The
         # sweep draws from its own seeded rng, so the construction rng
         # stream — and hence the built tables and the query counters —
         # are byte-identical whether verification is on or off.
         self.verify_rebuilds = bool(verify_rebuilds)
-        self.verify_seed = int(verify_seed)
         self._installs = 0
-        # Called with each Level just before it is unlinked (merge carry
-        # or flatten) — the epoch manager's retirement hook.
+        # Called as ``on_retire(level, replica)`` for each stream's table
+        # of a level just before it is unlinked (merge carry or flatten)
+        # — the epoch manager's retirement hook.
         self.on_retire = on_retire
-        # Telemetry labels, settable by the serving wrapper.
+        # Telemetry label, settable by the serving wrapper.
         self.shard = 0
-        self.replica = 0
-        # The level a carry or flatten owes, as ``(index, entries)``;
-        # :func:`_install_owed` builds it with its peers' and links it.
-        self._owed: tuple[int, dict] | None = None
 
     # -- state queries (no probes; used for ground truth & merging) -----------------
 
@@ -296,9 +337,18 @@ class LevelStructure:
     def nonempty_levels(self) -> list[Level]:
         return [lv for lv in self.levels if lv is not None]
 
-    def _config(self) -> tuple:
-        """What a level build depends on besides its entries and rng."""
-        return (self.universe_size, self.min_level_width, self.max_trials)
+    # -- honest reads ----------------------------------------------------------------
+
+    def query_batch(self, xs, rng, replica: int = 0) -> np.ndarray:
+        """Honest membership of every key in ``xs`` on one replica's tables.
+
+        A key outside the universe raises :class:`QueryError` before
+        any probe; the replica's account counts the queries, and
+        :func:`lookup_levels` reads its tables.
+        """
+        xs = check_queries(xs, self.universe_size)
+        self.streams[replica].account.record_query(xs.size)
+        return lookup_levels(self.levels, xs, rng, replica) == 1
 
     # -- structure building ------------------------------------------------------------
 
@@ -311,6 +361,8 @@ class LevelStructure:
         built for all of them in one lockstep construction
         (:meth:`LowContentionDictionary.build_lockstep`).
         """
+        if not rngs:
+            return []
         keys = np.array(sorted(entries), dtype=np.int64)
         words = [
             encode_insert(k) if entries[k] else encode_delete(k)
@@ -337,108 +389,113 @@ class LevelStructure:
             params=params, max_trials=self.max_trials, data=words,
         )
 
-    def _install(
-        self,
-        index: int,
-        entries: dict,
-        structure: StaticDictionary | None = None,
-    ) -> None:
-        """Link ``structure``, built over ``entries``, as level ``index``.
+    def _install(self, index: int, entries: dict) -> None:
+        """Build ``entries``' table for every stream; link them as level
+        ``index``.
 
-        ``structure`` defaults to one built from this structure's own
-        generator.
+        Each stream's table is verified (when on), recorded in its
+        account and announced as its own rebuild.
         """
-        if structure is None:
-            (structure,) = self._build_structures(entries, [self.rng])
-        while len(self.levels) <= index:
-            self.levels.append(None)
-        level = Level(index=index, entries=entries, structure=structure)
-        probes = 0
-        if self.verify_rebuilds:
-            level.rebuild_counter = ProbeCounter(structure.table.num_cells)
-            probes = self._verify_level(level)
-        self._installs += 1
-        self.levels[index] = level
-        if self.account is not None:
-            self.account.record_rebuild(
-                level=index,
-                entries=len(entries),
-                cells_written=structure.table.num_cells,
+        built = self._build_structures(
+            entries, [s.rng for s in self.streams.values()]
+        )
+        level = Level(index, entries, dict(zip(self.streams, built)))
+        for replica, stream in self.streams.items():
+            cells = level.structures[replica].table.num_cells
+            probes = (
+                self._verify_level(level, replica)
+                if self.verify_rebuilds else 0
+            )
+            stream.account.record_rebuild(
+                level=index, entries=len(entries), cells_written=cells,
                 probes=probes,
             )
-        if BUS.active:
-            BUS.emit(RebuildEvent(
-                shard=self.shard,
-                replica=self.replica,
-                level=index,
-                entries=len(entries),
-                cells=structure.table.num_cells,
-                probes=probes,
-            ))
+            if BUS.active:
+                BUS.emit(RebuildEvent(
+                    shard=self.shard,
+                    replica=replica,
+                    level=index,
+                    entries=len(entries),
+                    cells=cells,
+                    probes=probes,
+                ))
+        self._installs += 1
+        while len(self.levels) <= index:
+            self.levels.append(None)
+        self.levels[index] = level
 
-    def _verify_level(self, level: Level) -> int:
-        """Canary-read every entry through the live read path.
+    def _verify_level(self, level: Level, replica: int) -> int:
+        """Canary-read every entry through one replica's live read path;
+        return the probes it charged.
 
         Each entry's key must come back pinned by ``level`` with the
         entry's state bit (:func:`lookup_levels` over the one level).
-        All probes are rerouted to ``level.rebuild_counter`` via
-        :func:`repro.heal.charged_to`; the rng is seeded from
-        ``(verify_seed, install_sequence)`` so the sweep is deterministic
-        and independent of the construction stream.
+        All probes are rerouted via :func:`repro.heal.charged_to` to a
+        rebuild counter — the same
+        :class:`~repro.cellprobe.counters.ProbeCounter` substrate as the
+        query counter, but a *separate* instance, so the query counter's
+        Binomial(Q, Φ_t) envelope statements stay clean.  The rng is
+        seeded from ``(verify_seed, install_sequence)`` so the sweep is
+        deterministic and independent of the construction stream.
         """
-        verify_rng = np.random.default_rng((self.verify_seed, self._installs))
+        stream = self.streams[replica]
+        verify_rng = np.random.default_rng((stream.verify_seed, self._installs))
         keys = np.fromiter(level.entries, dtype=np.int64, count=level.size)
         want = np.fromiter(
             level.entries.values(), dtype=np.int8, count=level.size
         )
-        with charged_to(level.structure.table, level.rebuild_counter):
-            got = lookup_levels([level], keys, verify_rng)
+        table = level.structures[replica].table
+        counter = ProbeCounter(table.num_cells)
+        with charged_to(table, counter):
+            got = lookup_levels([level], keys, verify_rng, replica)
         bad = np.flatnonzero(got != want)
         if bad.size:
             i = int(bad[0])
             raise VerificationError(keys[i], got[i] == 1, bool(want[i]))
-        return level.rebuild_counter.total_probes()
+        return counter.total_probes()
 
     def _retire(self, level: Level | None) -> None:
-        """Hand a level being unlinked to the retirement hook, if any."""
+        """Hand each stream's table of a level being unlinked to the
+        retirement hook, if any."""
         if level is not None and self.on_retire is not None:
-            self.on_retire(level)
+            for replica in self.streams:
+                self.on_retire(level, replica)
+
+    def adopt(self, other: "LevelStructure") -> None:
+        """Take in ``other``'s streams, which replayed the same log.
+
+        ``other``'s levels hold the same entries as this structure's;
+        each non-empty level here is replaced by a new :class:`Level`
+        that carries ``other``'s tables besides its own, so a level
+        already pinned is left as it was.
+        """
+        for i, (mine, theirs) in enumerate(zip(self.levels, other.levels)):
+            if mine is not None:
+                rebuilt = {r: theirs.structures[r] for r in other.streams}
+                structures = sorted({**mine.structures, **rebuilt}.items())
+                self.levels[i] = Level(i, mine.entries, dict(structures))
+        self.streams = dict(sorted({**self.streams, **other.streams}.items()))
 
     # -- the update path ---------------------------------------------------------------
 
+    def update(self, key: int, is_insert: bool) -> None:
+        """One insert or delete: every stream counts it, and it is applied
+        (:meth:`apply`) when it changes the key's state."""
+        for stream in self.streams.values():
+            stream.account.record_update()
+        if self.state_of(key) != is_insert:
+            self.apply(key, is_insert)
+
     def apply(self, key: int, is_insert: bool) -> None:
         """Apply one operation via binary-counter carrying."""
-        self.apply_lockstep([self], key, is_insert)
-
-    @staticmethod
-    def apply_lockstep(structures, key: int, is_insert: bool) -> None:
-        """Apply one operation to structures that hold the same entries.
-
-        Each structure does its own carry and flatten bookkeeping
-        (:meth:`_carry`, :meth:`_maybe_flatten`), which only records the
-        level it owes; each level owed is then built once for all the
-        structures owing it, from each one's own generator
-        (:func:`_install_owed`).  A structure's levels, tables and
-        generator state end as :meth:`apply` on it alone leaves them.
-        """
-        key = int(key)
-        try:
-            for levels in structures:
-                levels._carry(key, is_insert)
-            _install_owed(structures)
-            for levels in structures:
-                levels._maybe_flatten()
-            _install_owed(structures)
-        finally:
-            for levels in structures:
-                levels._owed = None
+        self._carry(int(key), bool(is_insert))
+        self._maybe_flatten()
 
     def _carry(self, key: int, is_insert: bool) -> None:
-        """Merge the operation with levels 0..j-1 and owe level j.
+        """Merge the operation with levels 0..j-1 and install it as level j.
 
         j is the first empty level.  The merged levels are retired and
-        unlinked, and the merge is recorded as owed (:func:`_install_owed`
-        builds it).
+        unlinked.
         """
         if not 0 <= key < self.universe_size:
             raise ParameterError(f"key {key} outside universe")
@@ -462,12 +519,11 @@ class LevelStructure:
         if nothing_older:
             merged = {k: ins for k, ins in merged.items() if ins}
         if merged:
-            self._owed = (j, merged)
+            self._install(j, merged)
 
     def _maybe_flatten(self) -> None:
         """Flatten when dead weight makes the entries exceed twice the
-        live count: unlink every level and owe one of the live keys
-        (:func:`_install_owed` builds it)."""
+        live count: unlink every level and install one of the live keys."""
         total = self.total_entries
         if total >= 8 and total > 2 * max(self._live, 1):
             live = self.live_keys()
@@ -478,26 +534,4 @@ class LevelStructure:
                 # Land the flattened set at the level matching its size,
                 # keeping the capacity discipline (level j holds ~2^j).
                 index = max(0, int(np.ceil(np.log2(len(live)))))
-                self._owed = (index, {k: True for k in live})
-
-
-def _install_owed(structures) -> None:
-    """Build and link every level the structures owe.
-
-    Structures that owe the same level (same index and entries) under
-    the same configuration share one build, in which each draws from its
-    own generator; each links its structure in the order given.
-    """
-    owing = [ls for ls in structures if ls._owed is not None]
-    while owing:
-        lead = owing[0]
-        group = [
-            ls for ls in owing
-            if ls._owed == lead._owed and ls._config() == lead._config()
-        ]
-        built = lead._build_structures(lead._owed[1], [ls.rng for ls in group])
-        for ls, structure in zip(group, built):
-            index, entries = ls._owed
-            ls._owed = None
-            ls._install(index, entries, structure)
-        owing = [ls for ls in owing if ls._owed is not None]
+                self._install(index, {k: True for k in live})

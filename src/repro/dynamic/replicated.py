@@ -2,15 +2,21 @@
 
 The static :class:`~repro.dictionaries.replicated.ReplicatedDictionary`
 copies one built table R times; a *dynamic* structure cannot, because
-each replica owns a living level hierarchy that rebuilds as it goes.
-Replication here is **state-machine replication**: R independent
-:class:`~repro.dynamic.dictionary.DynamicLowContentionDictionary`
-replicas (each with its own spawned rng stream, so their hash choices
-differ — corruption of one replica's tables is uncorrelated with the
-others') apply the same update log in deterministic lockstep.  A
-crashed replica stops applying updates and loses its levels; rebuild
-replays the full log against the replica's re-derived rng stream,
-reconstructing *byte-identical* state to a replica that never crashed.
+its level hierarchy rebuilds as it goes.  Replication here is
+**state-machine replication**: R replicas, each on its own spawned rng
+stream (so their hash choices differ — corruption of one replica's
+tables is uncorrelated with the others'), apply the same update log in
+deterministic lockstep.  Applying one log, the replicas always hold the
+same entries, so they share **one level list**
+(:class:`~repro.dynamic.levels.LevelStructure`): each level holds its
+entries once plus one table per replica, an op is carried and flattened
+once, and each level it installs is built once for every live replica,
+each drawing from its own stream.  Each replica keeps its own cost
+account, verify seed, rebuild events and epoch retirements.  A crashed
+replica becomes unreachable and stops applying updates; rebuild replays
+the log for its stream alone, on a one-stream level list, into tables
+*byte-identical* to a replica that never crashed, which join the shared
+list in new levels.
 
 Reads are majority votes in the style of the static ``"majority"``
 mode: every live replica executes the honest query against its own
@@ -24,11 +30,11 @@ Every applied update (or micro-batched group via :meth:`apply_batch`)
 advances an :class:`~repro.dynamic.epoch.EpochManager` epoch.  Levels
 unlinked by merges/flattens are retired into the manager and reclaimed
 only once no pinned reader remains; :meth:`pin` captures a consistent
-snapshot (per-replica level lists + the live key set) against which
-:meth:`query_pinned` serves linearizable multi-key reads.
+snapshot (the level list, the live replicas and the live key set)
+against which :meth:`query_pinned` serves linearizable multi-key reads.
 
 Rebuild verification probes (``verify_rebuilds=True``) are charged via
-:func:`repro.heal.charged_to` to per-level rebuild counters, so each
+:func:`repro.heal.charged_to` to separate rebuild counters, so each
 replica's *query*-counter digest stays byte-identical to an
 unverified replay of the same stream.
 
@@ -36,8 +42,8 @@ unverified replay of the same stream.
 :mod:`repro.persist`): the update log is kept as *groups* (one per
 applied batch — one epoch advance each, so replay is
 epoch-faithful).  :meth:`compact_log` folds the retained groups into a
-pickled **base snapshot** of every replica's full state (level
-structures, install counter, cost account, and the shared rng stream's
+pickled **base snapshot** (the level list with every replica's tables,
+the install counter, and each replica's cost account and rng
 ``bit_generator.state``) and clears the log, so
 :meth:`rebuild_replica` becomes *base restore + bounded suffix replay*
 instead of unbounded full-log replay, and memory stops growing with
@@ -61,9 +67,14 @@ import numpy as np
 
 from repro.cellprobe.counters import ProbeCounter
 from repro.dictionaries.replicated import _REPLICA_FAILURES
-from repro.dynamic.dictionary import DynamicLowContentionDictionary
 from repro.dynamic.epoch import EpochManager, EpochPin
-from repro.dynamic.levels import lookup_levels
+from repro.dynamic.levels import (
+    Level,
+    LevelStructure,
+    Stream,
+    counter_digest,
+    lookup_levels,
+)
 from repro.errors import (
     FaultExhaustedError,
     HealError,
@@ -84,20 +95,6 @@ class DynamicFaultStats:
     crashes: int = 0
     rebuilds: int = 0
     corruptions: int = 0
-
-
-def _apply_ops(replicas, ops) -> None:
-    """Apply ``ops`` in order, each to all of ``replicas`` in lockstep.
-
-    Replicas that apply one log hold the same entries, so each op's
-    rebuilds are built once for all of them, each replica drawing from
-    its own stream (:meth:`DynamicLowContentionDictionary.update_lockstep`).
-    A replica's state depends only on its log and its stream, so it ends
-    as applying the ops to it alone would leave it; only the interleaving
-    of different replicas' rebuild events and retirements differs.
-    """
-    for k, ins in ops:
-        DynamicLowContentionDictionary.update_lockstep(replicas, k, ins)
 
 
 class ReplicatedDynamicDictionary:
@@ -134,33 +131,39 @@ class ReplicatedDynamicDictionary:
         self._log: list[tuple[tuple[int, bool], ...]] = []
         #: Updates folded into the base snapshot by compaction.
         self._log_base = 0
-        #: Pickled per-replica base state (None until first compaction).
+        #: Pickled base state (None until first compaction).
         self._base_state: bytes | None = None
         #: Epoch at the moment the base snapshot was captured.
         self._base_epoch = 0
         self.compactions = 0
         #: Probes charged to recovery counters by restore verification.
         self.recovery_probes = 0
-        self._replicas = [
-            self._fresh_replica(r) for r in range(self.replicas)
-        ]
+        #: Each replica's own stream, crashed ones included.
+        self._streams = [self._fresh_stream(r) for r in range(self.replicas)]
+        #: The one level list, building for the live replicas' streams.
+        self._levels = self._structure(dict(enumerate(self._streams)))
 
-    def _fresh_replica(self, r: int) -> DynamicLowContentionDictionary:
-        """Build replica ``r`` on its re-derivable spawned rng stream."""
+    def _fresh_stream(self, r: int) -> Stream:
+        """Replica ``r``'s stream at the start: its re-derivable spawned rng."""
         rng = spawn_generators(self.seed, self.replicas)[r]
-        d = DynamicLowContentionDictionary(
+        return Stream(rng, verify_seed=r)
+
+    def _structure(self, streams: dict) -> LevelStructure:
+        """An empty level list for ``streams``, retiring into the epochs."""
+        return LevelStructure(
             self.universe_size,
-            rng=rng,
-            max_trials=self.max_trials,
+            streams,
+            self.max_trials,
             min_level_width=self.min_level_width,
             verify_rebuilds=self.verify_rebuilds,
-            verify_seed=r,
-            on_retire=lambda level, _r=r: self.epochs.retire(
-                (_r, level), words=level.structure.table.num_cells
+            on_retire=lambda level, r: self.epochs.retire(
+                (r, level), words=level.structures[r].table.num_cells
             ),
         )
-        d._levels.replica = r
-        return d
+
+    def _levels_of(self, r: int) -> list[Level]:
+        """The non-empty levels replica ``r`` reads (none while crashed)."""
+        return [] if r in self._crashed else self._levels.nonempty_levels
 
     # -- updates (lockstep) ------------------------------------------------------
 
@@ -177,21 +180,19 @@ class ReplicatedDynamicDictionary:
         return self.apply(key, False)
 
     def apply_batch(self, ops) -> int:
-        """Apply a micro-batched update group in lockstep, op by op.
+        """Apply a micro-batched update group, op by op.
 
-        Each op is applied to every live replica before the next
-        (:func:`_apply_ops`), and the epoch advances **once** after the
-        whole group — the group is one atomic version step for pinned
-        readers.
+        Each op is applied once to the level list, building each level
+        it installs for every live replica, and the epoch advances
+        **once** after the whole group — the group is one atomic version
+        step for pinned readers.
         """
         ops = [(int(k), bool(ins)) for k, ins in ops]
         for k, _ in ops:
             if not 0 <= k < self.universe_size:
                 raise ParameterError(f"key {k} outside universe")
-        _apply_ops(
-            [d for r, d in enumerate(self._replicas) if r not in self._crashed],
-            ops,
-        )
+        for k, ins in ops:
+            self._levels.update(k, ins)
         self._log.append(tuple(ops))
         return self.epochs.advance()
 
@@ -227,37 +228,40 @@ class ReplicatedDynamicDictionary:
         return r
 
     def crash_replica(self, replica: int) -> None:
-        """Crash ``replica`` now: it loses its levels and stops applying."""
+        """Crash ``replica`` now: it becomes unreachable and stops applying.
+
+        No installed level changes, so a pin taken before the crash
+        still reads the tables it captured.
+        """
         self._require_armed()
         r = self._check_replica(replica)
-        d = self._replicas[r]
-        for i in range(len(d._levels.levels)):
-            d._levels.levels[i] = None
-        d._levels.recount()
+        self._levels.streams.pop(r, None)
         self._crashed.add(r)
         self.fault_stats.crashes += 1
 
     def rebuild_replica(self, replica: int) -> None:
         """Rebuild ``replica`` from the base snapshot plus the log suffix.
 
-        Before the first compaction the base is empty and this is the
-        original full-log replay; after compaction the replacement
-        restores the pickled base state (exact rng stream position
-        included) and replays only the retained suffix — bounded
-        recovery work.  Either way the replacement re-derives the
-        replica's original spawned rng stream, so its level state is
-        byte-identical to a replica that never crashed.
+        The replay runs on a one-stream level list for the replica alone:
+        before the first compaction it starts empty and replays the full
+        log; after compaction it starts from the pickled base (exact rng
+        stream position included) and replays only the retained suffix —
+        bounded recovery work.  Either way the replica's original spawned
+        rng stream is re-derived, so its tables are byte-identical to a
+        replica that never crashed; they join the shared level list in
+        new levels (:meth:`LevelStructure.adopt`).
         """
         self._require_armed()
         r = self._check_replica(replica)
+        alone = self._structure({r: self._fresh_stream(r)})
+        alone.shard = self._levels.shard
         if self._base_state is not None:
-            base = pickle.loads(self._base_state)
-            d = self._restore_replica_state(r, base["replicas"][r])
-        else:
-            d = self._fresh_replica(r)
+            self._restore(alone, pickle.loads(self._base_state))
         for group in self._log:
-            _apply_ops([d], group)
-        self._replicas[r] = d
+            for k, ins in group:
+                alone.update(k, ins)
+        self._streams[r] = alone.streams[r]
+        self._levels.adopt(alone)
         self._crashed.discard(r)
         self.fault_stats.rebuilds += 1
 
@@ -272,13 +276,17 @@ class ReplicatedDynamicDictionary:
         """
         self._require_armed()
         r = self._check_replica(replica)
-        levels = self._replicas[r]._levels.levels
+        levels = self._levels.levels
         li = int(level_index)
-        if not (0 <= li < len(levels)) or levels[li] is None:
+        if (
+            r in self._crashed
+            or not 0 <= li < len(levels)
+            or levels[li] is None
+        ):
             raise ParameterError(
                 f"replica {r} has no level {li} to corrupt"
             )
-        table = levels[li].structure.table
+        table = levels[li].structures[r].table
         row, col = divmod(int(flat) % table.num_cells, table.s)
         table._cells[row, col] ^= np.uint64(mask)
         self.fault_stats.corruptions += 1
@@ -301,53 +309,40 @@ class ReplicatedDynamicDictionary:
             "armed": self.armed,
         }
 
-    @staticmethod
-    def _capture_replica_state(d: DynamicLowContentionDictionary) -> dict:
-        """One replica's full resumable state as plain picklable values.
-
-        The rng state is the crux: dictionary and level structure share
-        one spawned Generator, so capturing ``bit_generator.state`` once
-        (and restoring it once) resumes *both* exactly where they were —
-        every future level construction draws the same hash choices a
-        never-crashed replica would.
-        """
-        return {
-            "rng_state": d.rng.bit_generator.state,
-            "installs": d._levels._installs,
-            "levels": list(d._levels.levels),
-            "account": d.account,
-        }
-
     def _capture_base(self) -> bytes:
-        """Serialize every replica's state *now* (immune to later mutation)."""
+        """Serialize the state *now* (immune to later mutation).
+
+        The level list goes in once, with every replica's tables; each
+        replica adds its stream's ``bit_generator.state`` and cost
+        account, so every future level construction draws the hash
+        choices a never-crashed replica would.
+        """
         state = {
-            "replicas": [
-                self._capture_replica_state(d) for d in self._replicas
+            "levels": list(self._levels.levels),
+            "installs": self._levels._installs,
+            "streams": [
+                {"rng_state": s.rng.bit_generator.state, "account": s.account}
+                for s in self._streams
             ],
             "epoch": self.epochs.epoch,
         }
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _restore_replica_state(
-        self, r: int, state: dict
-    ) -> DynamicLowContentionDictionary:
-        """Rebuild replica ``r`` from a captured state dict.
+    @staticmethod
+    def _restore(levels: LevelStructure, base: dict) -> None:
+        """Put a captured base into ``levels`` and its streams.
 
-        Starts from :meth:`_fresh_replica` (which rewires the
-        ``on_retire`` hook into this instance's epoch manager), then
-        overwrites the shared rng stream position, the level list, the
-        install counter (future verify-sweep seeds must continue the
-        sequence), and the cost account.  The live count is re-derived
-        from the restored levels (captured states do not carry it).
+        Sets the level list, the install counter (future verify-sweep
+        seeds must continue the sequence), and each stream's rng
+        position and cost account.  The live count is re-derived from
+        the restored levels (captured states do not carry it).
         """
-        d = self._fresh_replica(r)
-        d.rng.bit_generator.state = state["rng_state"]
-        d._levels.levels = list(state["levels"])
-        d._levels.recount()
-        d._levels._installs = int(state["installs"])
-        d.account = state["account"]
-        d._levels.account = d.account
-        return d
+        levels.levels = list(base["levels"])
+        levels.recount()
+        levels._installs = int(base["installs"])
+        for r, stream in levels.streams.items():
+            stream.rng.bit_generator.state = base["streams"][r]["rng_state"]
+            stream.account = base["streams"][r]["account"]
 
     def compact_log(self) -> int:
         """Fold the retained log into a fresh base snapshot; clear the log.
@@ -416,25 +411,18 @@ class ReplicatedDynamicDictionary:
             cfg["armed"] = bool(armed)
         inst = cls(**cfg)
         if payload.get("base") is not None:
-            base = pickle.loads(payload["base"])
             inst._base_state = payload["base"]
             inst._log_base = int(payload["base_updates"])
             inst._base_epoch = int(payload["base_epoch"])
             inst.epochs.epoch = int(payload["base_epoch"])
-            for r in range(inst.replicas):
-                inst._replicas[r] = inst._restore_replica_state(
-                    r, base["replicas"][r]
-                )
+            inst._restore(inst._levels, pickle.loads(payload["base"]))
             source = "checkpoint"
         else:
             source = "log"
         replayed = 0
         for group in payload.get("suffix", []):
-            ops = [(int(k), bool(ins)) for k, ins in group]
-            _apply_ops(inst._replicas, ops)
-            inst._log.append(tuple(ops))
-            inst.epochs.advance()
-            replayed += len(ops)
+            replayed += len(group)
+            inst.apply_batch(group)
         report = {
             "source": source,
             "replayed": replayed,
@@ -462,18 +450,16 @@ class ReplicatedDynamicDictionary:
         if keys.size > int(sample):
             keys = np.sort(rng.choice(keys, size=int(sample), replace=False))
         probes = 0
+        levels = tuple(self._levels.levels)
         for r in self.live_replicas():
-            d = self._replicas[r]
-            levels = tuple(d._levels.levels)
             counters = []
             with ExitStack() as stack:
-                for lv in d._levels.nonempty_levels:
-                    c = ProbeCounter(lv.structure.table.num_cells)
-                    stack.enter_context(
-                        charged_to(lv.structure.table, c)
-                    )
+                for lv in self._levels_of(r):
+                    table = lv.structures[r].table
+                    c = ProbeCounter(table.num_cells)
+                    stack.enter_context(charged_to(table, c))
                     counters.append(c)
-                answers = lookup_levels(levels, keys, rng) == 1
+                answers = lookup_levels(levels, keys, rng, r) == 1
             if not bool(np.all(answers)):
                 raise VerificationError(
                     int(keys[~answers][0]), False, True
@@ -492,11 +478,22 @@ class ReplicatedDynamicDictionary:
         """Vectorized majority vote: each live replica votes on the batch."""
         rng = as_generator(rng)
         xs = np.asarray(xs, dtype=np.int64)
+        return self._vote(
+            xs, self.live_replicas(),
+            lambda r: self._levels.query_batch(xs, rng, r),
+        )
+
+    def _vote(self, xs, replicas, read) -> np.ndarray:
+        """Majority of ``read(r)`` over ``replicas``; a failure abstains.
+
+        Ties resolve to ``False``; with no voter left the read raises
+        :class:`~repro.errors.FaultExhaustedError`.
+        """
         votes_true = np.zeros(xs.shape, dtype=np.int64)
         voters = 0
-        for r in self.live_replicas():
+        for r in replicas:
             try:
-                answers = self._replicas[r].query_batch(xs, rng)
+                answers = read(r)
             except _REPLICA_FAILURES:
                 self.fault_stats.abstentions += 1
                 continue
@@ -516,38 +513,32 @@ class ReplicatedDynamicDictionary:
         if r in self._crashed:
             self.fault_stats.crash_hits += 1
             raise ReplicaUnavailableError(r)
-        return self._replicas[r].query_batch(xs, rng)
+        return self._levels.query_batch(xs, rng, r)
 
     # -- ground truth ------------------------------------------------------------
 
-    def _reference_replica(self) -> DynamicLowContentionDictionary:
-        live = self.live_replicas()
-        if not live:
-            raise FaultExhaustedError(self.replicas)
-        return self._replicas[live[0]]
-
-    def contains(self, x: int) -> bool:
-        """Ground truth (no probes; entry dicts are corruption-immune)."""
-        return self._reference_replica().contains(x)
-
     def live_keys(self) -> np.ndarray:
-        """The current key set, sorted (ground truth; no probes)."""
-        return self._reference_replica().live_keys()
+        """The current key set, sorted (ground truth; no probes).
+
+        Entry dicts are corruption-immune, but with every replica
+        crashed there is no replica to answer for them.
+        """
+        if not self.live_replicas():
+            raise FaultExhaustedError(self.replicas)
+        return np.asarray(self._levels.live_keys(), dtype=np.int64)
 
     # -- epoch-pinned reads ------------------------------------------------------
 
     def pin(self) -> EpochPin:
         """Pin the current epoch for linearizable multi-key reads.
 
-        The snapshot captures each live replica's level list (levels are
-        immutable once installed, so the tuples stay valid forever) and
-        the pinned epoch's ground-truth key set.
+        The snapshot captures the level list and the live replicas
+        (levels are never changed once installed, so the tuple stays
+        valid forever) and the pinned epoch's ground-truth key set.
         """
         snapshot = {
-            "levels": {
-                r: tuple(self._replicas[r]._levels.levels)
-                for r in self.live_replicas()
-            },
+            "levels": tuple(self._levels.levels),
+            "replicas": tuple(self.live_replicas()),
             "live_keys": self.live_keys(),
         }
         return self.epochs.pin(snapshot)
@@ -555,40 +546,31 @@ class ReplicatedDynamicDictionary:
     def query_pinned(self, pin: EpochPin, xs, rng=None) -> np.ndarray:
         """Majority-voted batch read against the pinned epoch's state.
 
-        Linearizable by construction: every replica walks the level
-        list captured at pin time, so updates applied after the pin are
-        invisible and the answers match the pinned ground truth
+        Linearizable by construction: every replica captured at pin time
+        walks its tables in the level list captured then, so updates
+        applied after the pin are invisible and the answers match the
+        pinned ground truth
         (``np.isin(xs, pin.snapshot["live_keys"])``) exactly when a
         majority of the captured replicas is healthy.
         """
         rng = as_generator(rng)
         xs = np.asarray(xs, dtype=np.int64)
-        votes_true = np.zeros(xs.shape, dtype=np.int64)
-        voters = 0
-        for r, levels in pin.snapshot["levels"].items():
-            if r in self._crashed:
-                self.fault_stats.crash_hits += 1
-                continue
-            try:
-                answers = lookup_levels(levels, xs, rng) == 1
-            except _REPLICA_FAILURES:
-                self.fault_stats.abstentions += 1
-                continue
-            votes_true += answers
-            voters += 1
-        if voters == 0:
-            raise FaultExhaustedError(self.replicas)
-        return votes_true * 2 > voters
+        levels, pinned = pin.snapshot["levels"], pin.snapshot["replicas"]
+        voting = [r for r in pinned if r not in self._crashed]
+        self.fault_stats.crash_hits += len(pinned) - len(voting)
+        return self._vote(
+            xs, voting, lambda r: lookup_levels(levels, xs, rng, r) == 1
+        )
 
     # -- accounting / introspection ----------------------------------------------
 
     def replica_probe_loads(self) -> np.ndarray:
         """Query probes charged so far to each replica, shape ``(R,)``."""
         loads = np.zeros(self.replicas, dtype=np.int64)
-        for r, d in enumerate(self._replicas):
+        for r in range(self.replicas):
             loads[r] = sum(
-                int(lv.structure.table.counter.total_probes())
-                for lv in d._levels.nonempty_levels
+                int(lv.structures[r].table.counter.total_probes())
+                for lv in self._levels_of(r)
             )
         return loads
 
@@ -602,25 +584,28 @@ class ReplicatedDynamicDictionary:
 
     def query_counter_digest(self, replica: int = 0) -> str:
         """One replica's query-counter digest (rebuild probes excluded)."""
-        return self._replicas[self._check_replica(replica)].query_counter_digest()
+        r = self._check_replica(replica)
+        return counter_digest(self._levels_of(r), r)
 
     def rebuild_probes(self, replica: int = 0) -> int:
         """Verification probes charged to one replica's rebuild counters."""
-        return self._replicas[self._check_replica(replica)].rebuild_probes
+        return self.account(replica).rebuild_probes
 
     def account(self, replica: int = 0):
         """One replica's :class:`~repro.dynamic.accounting.UpdateCostAccount`."""
-        return self._replicas[self._check_replica(replica)].account
+        return self._streams[self._check_replica(replica)].account
 
     def set_shard(self, shard: int) -> None:
         """Label every replica's telemetry events with ``shard``."""
-        for d in self._replicas:
-            d._levels.shard = int(shard)
+        self._levels.shard = int(shard)
 
     @property
     def space_words(self) -> int:
         """Total live table words across replicas (excludes retirees)."""
-        return sum(d.space_words for d in self._replicas)
+        return sum(
+            lv.structures[r].table.num_cells
+            for r in range(self.replicas) for lv in self._levels_of(r)
+        )
 
     def stats(self) -> dict:
         """Flat dict for experiments: epochs, faults, space, rebuild work."""

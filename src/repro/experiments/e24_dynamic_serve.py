@@ -193,7 +193,7 @@ def _part_b_chaos_serving(fast: bool, seed: int) -> tuple[list[dict], bool]:
             if i == requests // 3:
                 # Silent corruption: flip bits in every non-empty level
                 # of shard 1's replica 0; the majority vote must absorb it.
-                levels = svc.shards[1]._replicas[0]._levels.nonempty_levels
+                levels = svc.shards[1]._levels.nonempty_levels
                 for lv in levels:
                     svc.corrupt_cell(1, 0, lv.index, 0, 0xFFFF)
                     corrupted += 1

@@ -201,9 +201,8 @@ def _cells_digest(shard: ReplicatedDynamicDictionary) -> str:
     """SHA-256 over every live replica's installed table cells."""
     h = hashlib.sha256()
     for r in sorted(shard.live_replicas()):
-        d = shard._replicas[r]
-        for lv in d._levels.nonempty_levels:
-            h.update(lv.structure.table._cells.tobytes())
+        for lv in shard._levels.nonempty_levels:
+            h.update(lv.structures[r].table._cells.tobytes())
     return h.hexdigest()
 
 

@@ -336,6 +336,11 @@ class FaultInjector:
         """Number of stuck-at cells injected."""
         return int(self._stuck_cells.size)
 
+    @property
+    def inert(self) -> bool:
+        """Whether reads pass through unchanged: no stuck cell, no flips."""
+        return not self._stuck_cells.size and self.config.flip_rate == 0.0
+
     def is_stuck(self, flat_cell: int) -> bool:
         """Whether ``flat_cell`` is stuck-at a corrupt value."""
         i = int(np.searchsorted(self._stuck_cells, flat_cell))
@@ -469,10 +474,15 @@ class FaultyTable:
     def read_round(self, rows, columns, step: int) -> np.ndarray:
         """Charged round of reads, corrupted row by row.
 
-        One :meth:`read_batch` per row, in row order, so the injector's
-        flip stream — and so every corrupted value — is exactly that of
-        k separate per-row reads.
+        While the injector is inert the round is the wrapped table's own
+        :meth:`~repro.cellprobe.table.Table.read_round`: nothing can be
+        corrupted, and the charges and values are those of the per-row
+        reads.  Otherwise it is one :meth:`read_batch` per row, in row
+        order, so the injector's flip stream — and so every corrupted
+        value — is exactly that of k separate per-row reads.
         """
+        if self._injector.inert:
+            return self._inner.read_round(rows, columns, step)
         columns = np.asarray(columns, dtype=np.int64)
         return np.stack([
             self.read_batch(row, cols, step + i)
@@ -480,14 +490,6 @@ class FaultyTable:
         ])
 
     # -- free accesses (construction/analysis) --------------------------------------
-
-    def write(self, row: int, column: int, value: int) -> None:
-        """Uncharged write, delegated to the wrapped table."""
-        self._inner.write(row, column, value)
-
-    def write_row(self, row: int, values: np.ndarray) -> None:
-        """Uncharged whole-row write, delegated to the wrapped table."""
-        self._inner.write_row(row, values)
 
     def peek(self, row: int, column: int) -> int:
         """Uncharged read showing stuck-at damage but no transient flips.

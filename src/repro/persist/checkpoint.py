@@ -46,11 +46,13 @@ __all__ = [
     "restore_dynamic_service",
 ]
 
-#: Checkpoint format version.  Format 2 stores each dynamic level keyed
-#: by the key, with the entry word ``2k + is_insert`` in its data row;
-#: format 1 keyed it by the entry code, a layout the reads no longer
-#: walk, so a format-1 file takes the fallback chain like a damaged one.
-CHECKPOINT_FORMAT = 2
+#: Checkpoint format version.  Format 3 pickles a shard's base as one
+#: level list whose levels hold every replica's table, plus each
+#: replica's rng state and cost account; format 2 pickled one level list
+#: per replica, and format 1 keyed each level by the entry code instead
+#: of the key.  The reads walk neither older layout, so a format-1 or
+#: format-2 file takes the fallback chain like a damaged one.
+CHECKPOINT_FORMAT = 3
 
 #: Frame magic; the trailing number is the checkpoint format version.
 CHECKPOINT_MAGIC = b"REPROCKPT:%d\n" % CHECKPOINT_FORMAT

@@ -15,7 +15,7 @@ from repro.dynamic import (
 from repro.dynamic.levels import (
     LevelStructure,
     SingletonDictionary,
-    _install_owed,
+    Stream,
     encode_delete,
     encode_insert,
 )
@@ -248,31 +248,29 @@ class TestLevelEdgeCases:
     """Flatten landing, tombstone dropping, and width padding corners."""
 
     def test_flatten_single_live_key_lands_at_level_zero(self):
-        ls = LevelStructure(1 << 10, np.random.default_rng(10))
+        ls = LevelStructure(1 << 10, {0: Stream(np.random.default_rng(10))})
         # One live key buried under eight tombstones of dead weight:
         # total = 9 > 2 * max(live=1, 1) and >= 8, so the next check
         # flattens — ceil(log2(1)) = 0, a singleton at level 0.
         ls._install(0, {1: True})
         ls._install(3, {k: False for k in range(2, 10)})
         ls._maybe_flatten()
-        _install_owed([ls])
         nonempty = ls.nonempty_levels
         assert len(nonempty) == 1
         assert nonempty[0].index == 0
         assert nonempty[0].entries == {1: True}
-        assert isinstance(nonempty[0].structure, SingletonDictionary)
+        assert isinstance(nonempty[0].structures[0], SingletonDictionary)
 
     def test_flatten_empty_live_set_clears_all_levels(self):
-        ls = LevelStructure(1 << 10, np.random.default_rng(11))
+        ls = LevelStructure(1 << 10, {0: Stream(np.random.default_rng(11))})
         ls._install(3, {k: False for k in range(8)})
         ls._maybe_flatten()
-        _install_owed([ls])
         assert ls.nonempty_levels == []
         assert ls.total_entries == 0
         assert ls.live_keys() == []
 
     def test_delete_dropped_when_nothing_older(self):
-        ls = LevelStructure(1 << 10, np.random.default_rng(12))
+        ls = LevelStructure(1 << 10, {0: Stream(np.random.default_rng(12))})
         # A tombstone merging below every non-empty level has nothing
         # older to cancel: it is dropped and no level is installed.
         ls.apply(5, False)
@@ -280,7 +278,7 @@ class TestLevelEdgeCases:
         assert ls.nonempty_levels == []
 
     def test_delete_kept_when_older_level_exists(self):
-        ls = LevelStructure(1 << 10, np.random.default_rng(13))
+        ls = LevelStructure(1 << 10, {0: Stream(np.random.default_rng(13))})
         ls.apply(1, True)
         ls.apply(2, True)  # carries {1, 2} into level 1
         ls.apply(3, False)  # level 1 is older and non-empty: kept
@@ -292,12 +290,13 @@ class TestLevelEdgeCases:
     def test_min_level_width_pads_singletons(self):
         for width, expected in ((0, 64), (256, 256)):
             ls = LevelStructure(
-                1 << 10, np.random.default_rng(14), min_level_width=width
+                1 << 10, {0: Stream(np.random.default_rng(14))},
+                min_level_width=width,
             )
             ls.apply(7, True)
             (level,) = ls.nonempty_levels
-            assert isinstance(level.structure, SingletonDictionary)
-            assert level.structure.table.s == expected
+            assert isinstance(level.structures[0], SingletonDictionary)
+            assert level.structures[0].table.s == expected
 
     def test_seeded_replay_is_deterministic(self):
         digests, sizes, spaces = [], [], []
@@ -361,19 +360,21 @@ class TestLiveCount:
                     rep.snapshot_payload()
                 )
             else:
-                # A direct no-op apply: re-assert one key's current
-                # state on one replica's levels.
-                levels = rep._replicas[arg]._levels
+                # A no-op update: re-assert one key's current state.
                 key = min(ref) if ref else 3
-                levels.apply(key, levels.state_of(key))
-            for d in rep._replicas:
-                assert d._levels._live == len(d._levels.live_keys())
-                assert d.live_count == d._levels._live
+                rep.apply(key, key in ref)
+            levels = rep._levels
+            assert levels._live == len(levels.live_keys())
+            # Every live replica's own tables answer for the shared count.
+            want = np.isin(np.arange(16), sorted(ref))
+            for r in rep.live_replicas():
+                got = rep.query_batch_on(np.arange(16), r, seed)
+                assert np.array_equal(got, want)
             if rep.live_replicas():
                 assert set(rep.live_keys().tolist()) == ref
 
     def test_noop_apply_keeps_count(self):
-        ls = LevelStructure(1 << 10, np.random.default_rng(20))
+        ls = LevelStructure(1 << 10, {0: Stream(np.random.default_rng(20))})
         for k in (1, 2, 3):
             ls.apply(k, True)
         ls.apply(2, True)  # already live
@@ -396,7 +397,7 @@ class TestLiveCount:
 
         monkeypatch.setattr(LevelStructure, "live_keys", counted_scan)
         monkeypatch.setattr(LevelStructure, "_maybe_flatten", watched_check)
-        ls = LevelStructure(1 << 10, np.random.default_rng(21))
+        ls = LevelStructure(1 << 10, {0: Stream(np.random.default_rng(21))})
         for k in range(64):
             ls.apply(k, True)  # distinct inserts never leave dead weight
         assert scans == [] and not any(flattens)

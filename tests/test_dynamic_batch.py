@@ -52,11 +52,11 @@ class TestBatchEquivalence:
         assert np.array_equal(scalar_answers, batch_answers)
         assert np.array_equal(batch_answers, np.isin(xs, scalar.live_keys()))
         scalar_totals = {
-            lv.index: lv.structure.table.counter.total_probes()
+            lv.index: lv.structures[0].table.counter.total_probes()
             for lv in scalar._levels.nonempty_levels
         }
         batch_totals = {
-            lv.index: lv.structure.table.counter.total_probes()
+            lv.index: lv.structures[0].table.counter.total_probes()
             for lv in batched._levels.nonempty_levels
         }
         assert scalar_totals == batch_totals

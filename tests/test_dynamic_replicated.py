@@ -10,11 +10,7 @@ level reclamation.
 import numpy as np
 import pytest
 
-from repro.dynamic import (
-    DynamicLowContentionDictionary,
-    EpochManager,
-    ReplicatedDynamicDictionary,
-)
+from repro.dynamic import EpochManager, ReplicatedDynamicDictionary
 from repro.errors import (
     FaultExhaustedError,
     HealError,
@@ -41,11 +37,11 @@ def _churn(rep, ops: int, seed: int, key_range: int = 300) -> set:
     return ref
 
 
-def _level_bytes(d: DynamicLowContentionDictionary) -> list:
+def _level_bytes(rep: ReplicatedDynamicDictionary, r: int) -> list:
     """A replica's physical level state: (index, raw cells) pairs."""
     return [
-        (lv.index, lv.structure.table._cells.tobytes())
-        for lv in d._levels.nonempty_levels
+        (lv.index, lv.structures[r].table._cells.tobytes())
+        for lv in rep._levels.nonempty_levels
     ]
 
 
@@ -53,18 +49,18 @@ class TestLockstep:
     def test_replicas_agree_and_match_reference(self):
         rep = ReplicatedDynamicDictionary(UNIVERSE, replicas=3, seed=0)
         ref = _churn(rep, 200, seed=1)
-        for d in rep._replicas:
-            assert set(d.live_keys().tolist()) == ref
+        assert set(rep.live_keys().tolist()) == ref
         xs = np.random.default_rng(2).integers(0, UNIVERSE, size=200)
         answers = rep.query_batch(xs, np.random.default_rng(3))
         assert np.array_equal(answers, np.isin(xs, sorted(ref)))
+        for r in range(3):
+            answers = rep.query_batch_on(xs, r, np.random.default_rng(4))
+            assert np.array_equal(answers, np.isin(xs, sorted(ref)))
 
     def test_replicas_use_distinct_rng_streams(self):
         rep = ReplicatedDynamicDictionary(UNIVERSE, replicas=3, seed=0)
         _churn(rep, 120, seed=1)
-        assert _level_bytes(rep._replicas[0]) != _level_bytes(
-            rep._replicas[1]
-        )
+        assert _level_bytes(rep, 0) != _level_bytes(rep, 1)
 
     def test_epoch_advances_once_per_group(self):
         rep = ReplicatedDynamicDictionary(UNIVERSE, replicas=2, seed=0)
@@ -112,9 +108,8 @@ class TestFaults:
             if i == 40:
                 chaotic.crash_replica(1)
         chaotic.rebuild_replica(1)
-        assert _level_bytes(chaotic._replicas[1]) == _level_bytes(
-            healthy._replicas[1]
-        )
+        for r in range(3):
+            assert _level_bytes(chaotic, r) == _level_bytes(healthy, r)
         assert chaotic.live_replicas() == [0, 1, 2]
         assert chaotic.fault_stats.crashes == 1
         assert chaotic.fault_stats.rebuilds == 1
@@ -126,7 +121,7 @@ class TestFaults:
         ref = _churn(rep, 150, seed=4)
         corrupted = 0
         for r in (0, 1):  # minority: 2 of 5
-            for lv in rep._replicas[r]._levels.nonempty_levels:
+            for lv in rep._levels.nonempty_levels:
                 rep.corrupt_cell(r, lv.index, 0, 0xFFFF)
                 corrupted += 1
         assert corrupted > 0
@@ -176,6 +171,47 @@ class TestEpochPins:
         assert np.array_equal(pinned, np.isin(xs, pinned_truth))
         assert np.array_equal(live, np.isin(xs, rep.live_keys()))
         assert np.any(pinned != live)
+        pin.release()
+
+    def test_pin_survives_crash_updates_and_rebuild(self):
+        """A pin taken before a crash answers exactly its pinned key set
+        after updates and a rebuild, and its levels are left as they were."""
+        rep = ReplicatedDynamicDictionary(
+            UNIVERSE, replicas=3, seed=28, armed=True
+        )
+        _churn(rep, 100, seed=29)
+        pin = rep.pin()
+        pinned_truth = np.asarray(pin.snapshot["live_keys"])
+        levels = pin.snapshot["levels"]
+        before = [
+            (dict(lv.entries), dict(lv.structures), {
+                r: s.table._cells.tobytes() for r, s in lv.structures.items()
+            })
+            for lv in levels if lv is not None
+        ]
+        rep.crash_replica(1)
+        ref = set(rep.live_keys().tolist())
+        for k, ins in zip(range(0, 300, 7), [True, False] * 30):
+            rep.apply(k, ins)
+            (ref.add if ins else ref.discard)(k)
+        rep.rebuild_replica(1)
+        xs = np.arange(400, dtype=np.int64)
+        got = rep.query_pinned(pin, xs, np.random.default_rng(31))
+        assert np.array_equal(got, np.isin(xs, pinned_truth))
+        after = [lv for lv in levels if lv is not None]
+        assert len(after) == len(before)
+        for lv, (entries, structures, cells) in zip(after, before):
+            assert lv.entries == entries
+            assert lv.structures.keys() == structures.keys()
+            assert all(lv.structures[r] is s for r, s in structures.items())
+            assert {
+                r: s.table._cells.tobytes() for r, s in lv.structures.items()
+            } == cells
+        # The rebuilt replica reads the current state from new levels.
+        pinned_ids = {id(lv) for lv in after}
+        assert not any(id(lv) in pinned_ids for lv in rep._levels.levels)
+        now = rep.query_batch_on(xs, 1, np.random.default_rng(32))
+        assert np.array_equal(now, np.isin(xs, sorted(ref)))
         pin.release()
 
     def test_reclamation_waits_for_pin(self):

@@ -6,8 +6,9 @@ from generator ``i`` alone: the same cells and ``writes``, every
 perfect hash ``(a, c)`` as Python ints, the histogram words, the trial
 count and the generator's end state, so pickles match too.  A failing
 build must fail as the builds run one after another would.  On the
-dynamic side, a replicated group builds each level once for all live
-replicas, and each replica ends as if it had applied the ops alone.
+dynamic side, the replicas share one level list: each op is carried
+once and each level is built once for all live replicas, and each
+replica ends as if it had applied the ops alone.
 """
 
 from __future__ import annotations
@@ -179,74 +180,102 @@ def test_a_group_builds_each_level_once(monkeypatch):
     assert calls == [2] * 5
 
 
-def test_structures_that_differ_build_apart():
-    """apply_lockstep shares a build only between structures that owe the
-    same level; structures with different entries or widths still end as
-    if each had applied the op alone."""
-    def structures():
-        out = []
-        for i, (width, history) in enumerate(
-            ((0, (1, 2, 3)), (0, (1, 2, 3)), (0, (4, 5)), (256, (1, 2, 3)))
-        ):
-            ls = LevelStructure(1 << 10, np.random.default_rng(i),
-                                min_level_width=width)
-            for k in history:
-                ls.apply(k, True)
-            out.append(ls)
-        return out
-
-    together, alone = structures(), structures()
-    for key, ins in ((9, True), (2, False), (11, True)):
-        LevelStructure.apply_lockstep(together, key, ins)
-        for ls in alone:
-            ls.apply(key, ins)
-    for a, b in zip(together, alone):
-        assert pickle.dumps(a.levels) == pickle.dumps(b.levels)
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
-
-
-def test_lockstep_replicas_equal_replicas_applied_alone(monkeypatch):
-    """Every replica's state, and the pickled base snapshot of all of
-    them, equal those of replicas that applied the log one at a time."""
+@pytest.mark.parametrize("replicas", (1, 3, 5))
+def test_an_op_carries_and_flattens_once(monkeypatch, replicas):
+    """One level list serves the whole replica set: every op that moves
+    a key's state makes one carry and one flatten check, whatever R."""
+    calls = {"_carry": 0, "_maybe_flatten": 0}
     flattens = []
-    check = LevelStructure._maybe_flatten
+    for name in calls:
+        inner = getattr(LevelStructure, name)
 
-    def counted(self):
-        # A flatten is the only step of _maybe_flatten that relinks.
-        before = [id(lv) for lv in self.levels]
-        check(self)
-        flattens.append([id(lv) for lv in self.levels] != before)
+        def counted(self, *args, _name=name, _inner=inner):
+            calls[_name] += 1
+            # A flatten is the only step of _maybe_flatten that relinks.
+            before = [id(lv) for lv in self.levels]
+            _inner(self, *args)
+            if _name == "_maybe_flatten":
+                flattens.append([id(lv) for lv in self.levels] != before)
 
-    monkeypatch.setattr(LevelStructure, "_maybe_flatten", counted)
+        monkeypatch.setattr(LevelStructure, name, counted)
+    rep = ReplicatedDynamicDictionary(1 << 16, replicas=replicas, seed=3)
+    ref: set[int] = set()
+    moves = 0
+    ops = _ops(4, 400)
+    for i in range(0, len(ops), 3):
+        group = ops[i:i + 3]
+        for k, ins in group:
+            moves += ins != (k in ref)
+            (ref.add if ins else ref.discard)(k)
+        rep.apply_batch(group)
+    assert 0 < moves < len(ops)
+    assert sum(flattens) >= 2
+    assert calls == {"_carry": moves, "_maybe_flatten": moves}
+    assert set(rep.live_keys().tolist()) == ref
+
+
+def _alone(seed: int, replicas: int, r: int) -> DynamicLowContentionDictionary:
+    """Replica ``r``'s one-replica twin: its stream, its verify seed."""
+    return DynamicLowContentionDictionary(
+        1 << 16, rng=spawn_generators(seed, replicas)[r],
+        verify_rebuilds=True, verify_seed=r,
+    )
+
+
+def _assert_replicas_equal_alone(rep, twins) -> None:
+    """Each replica's levels, tables, rng and account equal its twin's."""
+    for r, twin in enumerate(twins):
+        ours = rep._levels.levels
+        theirs = twin._levels.levels
+        assert [lv and (lv.index, lv.entries) for lv in ours] == [
+            lv and (lv.index, lv.entries) for lv in theirs
+        ]
+        for a, b in zip(rep._levels.nonempty_levels,
+                        twin._levels.nonempty_levels):
+            assert pickle.dumps(a.structures[r]) == pickle.dumps(
+                b.structures[0]
+            )
+        assert (rep._streams[r].rng.bit_generator.state
+                == twin.rng.bit_generator.state)
+        assert pickle.dumps(rep.account(r)) == pickle.dumps(twin.account)
+
+
+def test_lockstep_replicas_equal_replicas_applied_alone():
+    """Every replica's levels, tables, generator state and account equal
+    those of a one-replica dictionary fed the same ops from its stream,
+    through a crash and rebuild before and after ``compact_log`` and a
+    ``from_snapshot`` round trip."""
     seed, replicas = 9, 3
     rep = ReplicatedDynamicDictionary(
-        1 << 16, replicas=replicas, seed=seed, verify_rebuilds=True
+        1 << 16, replicas=replicas, seed=seed, verify_rebuilds=True,
+        armed=True,
     )
-    ops = _ops(21, 700)
-    i = 0
-    while i < len(ops):
-        size = 1 + rep.epoch % 4
-        rep.apply_batch(ops[i:i + size])
-        i += size
-    assert sum(flattens) >= 3 * 2  # fused flatten builds too
-    twin = ReplicatedDynamicDictionary(
-        1 << 16, replicas=replicas, seed=seed, verify_rebuilds=True
-    )
-    for r in range(replicas):
-        d = twin._replicas[r]
-        for k, ins in ops:
-            (d.insert if ins else d.delete)(k)
-    twin.epochs.epoch = rep.epochs.epoch
-    capture = ReplicatedDynamicDictionary._capture_replica_state
-    for a, b in zip(rep._replicas, twin._replicas):
-        assert pickle.dumps(capture(a)) == pickle.dumps(capture(b))
-    assert rep.compact_log() == len(ops)
-    assert rep._base_state == twin._capture_base()
-    # The standalone facade is the one-replica case of the same path.
-    alone = DynamicLowContentionDictionary(
-        1 << 16, rng=spawn_generators(seed, replicas)[0],
-        verify_rebuilds=True, verify_seed=0,
-    )
-    for k, ins in ops:
-        (alone.insert if ins else alone.delete)(k)
-    assert pickle.dumps(capture(alone)) == pickle.dumps(capture(rep._replicas[0]))
+    twins = [_alone(seed, replicas, r) for r in range(replicas)]
+    ops = _ops(21, 1000)
+
+    def feed(lo, hi):
+        i = lo
+        while i < hi:
+            group = ops[i:min(hi, i + 1 + rep.epoch % 4)]
+            rep.apply_batch(group)
+            for twin in twins:
+                for k, ins in group:
+                    (twin.insert if ins else twin.delete)(k)
+            i += len(group)
+
+    feed(0, 200)
+    rep.crash_replica(1)
+    feed(200, 350)
+    rep.rebuild_replica(1)
+    _assert_replicas_equal_alone(rep, twins)
+    feed(350, 500)
+    assert rep.compact_log() == 500
+    feed(500, 600)
+    rep.crash_replica(2)
+    feed(600, 700)
+    rep.rebuild_replica(2)
+    _assert_replicas_equal_alone(rep, twins)
+    rep, _ = ReplicatedDynamicDictionary.from_snapshot(rep.snapshot_payload())
+    _assert_replicas_equal_alone(rep, twins)
+    feed(700, 1000)
+    _assert_replicas_equal_alone(rep, twins)

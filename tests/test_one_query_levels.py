@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cellprobe.counters import ProbeCounter
 from repro.cellprobe.table import EMPTY_CELL
 from repro.core import LowContentionDictionary
 from repro.core.verification import verify_dictionary
@@ -36,6 +35,7 @@ from repro.dynamic.levels import (
     Level,
     LevelStructure,
     SingletonDictionary,
+    Stream,
     lookup_levels,
 )
 from repro.errors import QueryError, VerificationError
@@ -68,9 +68,8 @@ def _apply(rep, ops, ref: set, stats: dict) -> None:
         i += len(group)
 
 
-def _tombstones_over_inserts(d: DynamicLowContentionDictionary) -> int:
+def _tombstones_over_inserts(levels) -> int:
     """Delete entries whose key has an insert entry at an older level."""
-    levels = d._levels.nonempty_levels
     count = 0
     for i, lv in enumerate(levels):
         for k, ins in lv.entries.items():
@@ -79,10 +78,10 @@ def _tombstones_over_inserts(d: DynamicLowContentionDictionary) -> int:
     return count
 
 
-def _check_layout(d, seen: set) -> None:
-    """Each level's data row holds ``2k + is_insert`` at key k's slot."""
-    for lv in d._levels.nonempty_levels:
-        s = lv.structure
+def _check_layout(levels, r: int, seen: set) -> None:
+    """Replica r's data rows hold ``2k + is_insert`` at key k's slot."""
+    for lv in levels:
+        s = lv.structures[r]
         seen.add(type(s))
         assert s.keys.tolist() == sorted(lv.entries)
         assert s.universe_size == UNIVERSE
@@ -102,15 +101,15 @@ def _check_answers(rep, ref: set, qrng, stats: dict) -> None:
     xs = np.arange(KEY_RANGE + 40, dtype=np.int64)
     want = np.isin(xs, sorted(ref))
     assert np.array_equal(rep.query_batch(xs, qrng), want)
+    levels = rep._levels.nonempty_levels
     for r in rep.live_replicas():
-        d = rep._replicas[r]
-        assert np.array_equal(d.query_batch(xs, qrng), want)
+        assert np.array_equal(rep.query_batch_on(xs, r, qrng), want)
         for x in qrng.choice(xs, size=12, replace=False).tolist():
-            assert d.query(x, qrng) == (x in ref)
-        stats["tombstones"] = max(
-            stats["tombstones"], _tombstones_over_inserts(d)
-        )
-        _check_layout(d, stats["layouts"])
+            assert rep.query_batch_on([x], r, qrng)[0] == (x in ref)
+        _check_layout(levels, r, stats["layouts"])
+    stats["tombstones"] = max(
+        stats["tombstones"], _tombstones_over_inserts(levels)
+    )
     for x in qrng.choice(xs, size=8, replace=False).tolist():
         assert rep.query(x, qrng) == (x in ref)
     stats["checks"] += 1
@@ -127,7 +126,7 @@ def stream(request):
         before = [id(lv) for lv in self.levels]
         inner(self)
         if [id(lv) for lv in self.levels] != before:
-            flattens.append(self.replica)
+            flattens.append(0 in self.streams)
 
     ops = _ops(seed, 1400)
     ref: set[int] = set()
@@ -163,7 +162,7 @@ def stream(request):
             pin.release()
             stats["pins"] += 1
             _check_answers(rep, ref, qrng, stats)
-    stats["flattens"] = flattens.count(0)
+    stats["flattens"] = sum(flattens)
     return rep, ref, stats
 
 
@@ -195,14 +194,14 @@ def _count_lookups(monkeypatch) -> list:
     return calls
 
 
-def _expected_visits(d, xs) -> list:
-    """``(structure, keys)`` the walk must look up, newest level first."""
+def _expected_visits(rep, r: int, xs) -> list:
+    """``(structure, keys)`` replica r's walk must look up, newest first."""
     pending = [int(x) for x in xs]
     visits = []
-    for lv in d._levels.nonempty_levels:
+    for lv in rep._levels.nonempty_levels:
         if not pending:
             break
-        visits.append((lv.structure, pending))
+        visits.append((lv.structures[r], pending))
         pending = [x for x in pending if lv.state_of(x) is None]
     return visits
 
@@ -211,7 +210,7 @@ def test_one_static_lookup_per_level_visited_per_voting_replica(
     stream, monkeypatch
 ):
     rep, ref, _ = stream
-    assert len(rep._replicas[0]._levels.nonempty_levels) >= 2
+    assert len(rep._levels.nonempty_levels) >= 2
     rng = np.random.default_rng(5)
     live = sorted(ref)
     batches = [[x] for x in (live[0], live[-1], KEY_RANGE + 7)]
@@ -221,7 +220,7 @@ def test_one_static_lookup_per_level_visited_per_voting_replica(
         rep.query_batch(np.array(xs), rng)
         want = []
         for r in rep.live_replicas():
-            want += _expected_visits(rep._replicas[r], xs)
+            want += _expected_visits(rep, r, xs)
         assert len(calls) == len(want)
         for (got_s, got_keys), (want_s, want_keys) in zip(calls, want):
             assert got_s is want_s
@@ -231,24 +230,22 @@ def test_one_static_lookup_per_level_visited_per_voting_replica(
 
 def test_probes_per_level_equal_the_static_query_cost(stream):
     rep, ref, _ = stream
-    d = rep._replicas[0]
-    levels = d._levels.nonempty_levels
-    assert any(isinstance(lv.structure, LowContentionDictionary)
-               for lv in levels)
+    structures = [lv.structures[0] for lv in rep._levels.nonempty_levels]
+    assert any(isinstance(s, LowContentionDictionary) for s in structures)
     rng = np.random.default_rng(9)
     for x in sorted(ref)[::7] + [KEY_RANGE + 3, KEY_RANGE + 11]:
-        before = [lv.structure.table.counter.total_probes() for lv in levels]
-        assert d.query(x, rng) == (x in ref)
+        before = [s.table.counter.total_probes() for s in structures]
+        assert rep.query_batch_on([x], 0, rng)[0] == (x in ref)
         visiting = True
-        for lv, b in zip(levels, before):
-            spent = lv.structure.table.counter.total_probes() - b
+        for lv, s, b in zip(rep._levels.nonempty_levels, structures, before):
+            spent = s.table.counter.total_probes() - b
             if not visiting:
                 assert spent == 0
                 continue
-            if isinstance(lv.structure, SingletonDictionary):
+            if isinstance(s, SingletonDictionary):
                 assert spent == 1
             else:
-                assert spent == len(lv.structure.probe_plan(x))
+                assert spent == len(s.probe_plan(x))
             visiting = lv.state_of(x) is None
 
 
@@ -258,7 +255,7 @@ def test_max_probes_is_one_static_query_per_level():
         d.insert(k)
     levels = d._levels.nonempty_levels
     assert len(levels) >= 2
-    assert d.max_probes == sum(lv.structure.max_probes for lv in levels)
+    assert d.max_probes == sum(lv.structures[0].max_probes for lv in levels)
 
 
 # -- layout ---------------------------------------------------------------------------
@@ -266,8 +263,8 @@ def test_max_probes_is_one_static_query_per_level():
 
 def test_data_row_holds_the_entry_word_at_each_key_slot(stream):
     rep, _, stats = stream
-    for d in rep._replicas:
-        _check_layout(d, stats["layouts"])
+    for r in range(R):
+        _check_layout(rep._levels.nonempty_levels, r, stats["layouts"])
     assert stats["layouts"] == {LowContentionDictionary, SingletonDictionary}
 
 
@@ -312,7 +309,7 @@ def test_membership_on_a_data_built_structure_raises():
 
 
 def test_walk_states():
-    ls = LevelStructure(UNIVERSE, np.random.default_rng(6))
+    ls = LevelStructure(UNIVERSE, {0: Stream(np.random.default_rng(6))})
     ls._install(3, {k: True for k in range(10, 20)})
     ls._install(1, {12: False, 13: True, 40: True})
     ls._install(0, {15: False})
@@ -323,20 +320,19 @@ def test_walk_states():
 
 def test_rebuild_sweep_checks_the_state_bit():
     ls = LevelStructure(
-        UNIVERSE, np.random.default_rng(7), verify_rebuilds=True
+        UNIVERSE, {0: Stream(np.random.default_rng(7))}, verify_rebuilds=True
     )
     entries = {k: k % 2 == 0 for k in range(20, 40)}
     ls._install(2, entries)
-    assert ls.levels[2].rebuild_counter.total_probes() > 0
+    assert ls.streams[0].account.rebuild_probes > 0
     (structure,) = ls._build_structures(entries, [np.random.default_rng(8)])
     con = structure.construction
     b = con.h(25)
     slot = int(con.span_starts[b]) + con.inner[b](25)
     structure.table._cells[structure.params.data_row, slot] ^= np.uint64(1)
-    level = Level(index=2, entries=entries, structure=structure)
-    level.rebuild_counter = ProbeCounter(structure.table.num_cells)
+    level = Level(index=2, entries=entries, structures={0: structure})
     with pytest.raises(VerificationError) as exc:
-        ls._verify_level(level)
+        ls._verify_level(level, 0)
     assert exc.value.key == 25
 
 
@@ -355,12 +351,12 @@ def test_corrupt_cell_chaos_leaves_no_wrong_voted_answer():
     for phase, lo in enumerate(range(0, 900, 60)):
         _apply(rep, ops[lo:lo + 60], ref, stats)
         victim = phase % R
-        levels = rep._replicas[victim]._levels.levels
+        levels = rep._levels.levels
         for _ in range(12):
             li = int(chaos.choice(
                 [i for i, lv in enumerate(levels) if lv is not None]
             ))
-            cells = levels[li].structure.table.num_cells
+            cells = levels[li].structures[victim].table.num_cells
             rep.corrupt_cell(
                 victim, li, int(chaos.integers(0, cells)),
                 int(chaos.integers(1, 1 << 16)),
@@ -372,6 +368,6 @@ def test_corrupt_cell_chaos_leaves_no_wrong_voted_answer():
         wrong += int((rep.query_pinned(pin, xs, qrng) != want).sum())
         pin.release()
         rep.rebuild_replica(victim)
-        assert np.array_equal(rep._replicas[victim].query_batch(xs, qrng), want)
+        assert np.array_equal(rep.query_batch_on(xs, victim, qrng), want)
     assert corrupted == 15 * 12
     assert wrong == 0

@@ -53,9 +53,8 @@ def _apply(service, n, seed, now=0.0):
 def _cells_digest(shard) -> str:
     h = hashlib.sha256()
     for r in sorted(shard.live_replicas()):
-        rep = shard._replicas[r]
-        for lv in rep._levels.nonempty_levels:
-            h.update(lv.structure.table._cells.tobytes())
+        for lv in shard._levels.nonempty_levels:
+            h.update(lv.structures[r].table._cells.tobytes())
     return h.hexdigest()
 
 
@@ -189,49 +188,60 @@ class TestFallbackChain:
 
 
 class TestFormatBump:
-    """Format 2 keys dynamic levels by the key; a format-1 file (levels
-    keyed by the entry code) takes the fallback chain, never the reads."""
+    """Format 3 pickles one level list per shard, with every replica's
+    tables in each level.  A format-1 file (levels keyed by the entry
+    code) or format-2 file (one level list per replica) takes the
+    fallback chain, never the reads."""
 
     @staticmethod
-    def _as_format_1(path, magic=b"REPROCKPT:1\n"):
-        """Rewrite ``path`` as a format-1 frame of the same payload."""
+    def _as_format(path, version, magic=None):
+        """Rewrite ``path`` as a format-``version`` frame of its payload."""
         import pickle
 
         from repro.io.integrity import atomic_write_bytes, frame
         from repro.persist import CHECKPOINT_FORMAT
 
-        assert CHECKPOINT_FORMAT == 2
+        assert CHECKPOINT_FORMAT == 3
         meta = CheckpointStore(os.path.dirname(path))._read_meta(path)
-        meta["format"] = 1
+        meta["format"] = version
+        if magic is None:
+            magic = b"REPROCKPT:%d\n" % version
         atomic_write_bytes(path, frame(pickle.dumps(meta), magic))
 
-    def test_saved_files_are_format_2(self, tmp_path):
+    def test_saved_files_are_format_3(self, tmp_path):
         from repro.persist import CHECKPOINT_MAGIC
 
         _, store, _ = _saved(tmp_path)
         for _, _, path in store.generations():
             with open(path, "rb") as f:
-                assert f.read(len(CHECKPOINT_MAGIC)) == b"REPROCKPT:2\n"
-            assert store._read_meta(path)["format"] == 2
+                assert f.read(len(CHECKPOINT_MAGIC)) == b"REPROCKPT:3\n"
+            assert store._read_meta(path)["format"] == 3
 
-    @pytest.mark.parametrize("magic", [b"REPROCKPT:1\n", b"REPROCKPT:2\n"])
-    def test_format_1_raises_typed_error(self, tmp_path, magic):
+    def _raises_typed_error(self, tmp_path, version, magic):
         _, store, _ = _saved(tmp_path)
         _, _, path = store.generations()[0]
-        self._as_format_1(path, magic)
+        self._as_format(path, version, magic)
         with pytest.raises(CheckpointCorruptError) as exc:
             store.inspect(path)
         assert exc.value.path == path
         assert "format" in exc.value.reason
 
-    def test_format_1_falls_back_a_generation_then_empty(self, tmp_path):
+    @pytest.mark.parametrize("magic", [b"REPROCKPT:1\n", b"REPROCKPT:2\n"])
+    def test_format_1_raises_typed_error(self, tmp_path, magic):
+        self._raises_typed_error(tmp_path, 1, magic)
+
+    @pytest.mark.parametrize("magic", [b"REPROCKPT:2\n", b"REPROCKPT:3\n"])
+    def test_format_2_raises_typed_error(self, tmp_path, magic):
+        self._raises_typed_error(tmp_path, 2, magic)
+
+    def _falls_back_a_generation_then_empty(self, tmp_path, version):
         svc, store, now = _saved(tmp_path)
         now = _apply(svc, 40, 17, now=now + 1.0)
         svc.checkpoint(now + 5.0)  # generation 2
         newest = store.generations(shard=0)[-1][2]
-        self._as_format_1(newest)
+        self._as_format(newest, version)
         for _, _, path in store.generations(shard=1):
-            self._as_format_1(path)
+            self._as_format(path, version)
         restored, report = restore_dynamic_service(tmp_path)
         by_shard = {r["shard"]: r for r in report["shards"]}
         assert by_shard[0]["generation"] == 1
@@ -239,11 +249,17 @@ class TestFormatBump:
         assert by_shard[1]["source"] == "empty"
         assert report["quarantined"] == 3
         assert os.path.exists(newest + ".corrupt")
-        # No format-1 level serves a read: shard 1 restarted empty.
+        # No old-format level serves a read: shard 1 restarted empty.
         assert restored.shards[1].live_keys().size == 0
         xs = np.arange(UNIVERSE, dtype=np.int64)
         one = restored.shards[1].query_batch(xs, np.random.default_rng(0))
         assert not one.any()
+
+    def test_format_1_falls_back_a_generation_then_empty(self, tmp_path):
+        self._falls_back_a_generation_then_empty(tmp_path, 1)
+
+    def test_format_2_falls_back_a_generation_then_empty(self, tmp_path):
+        self._falls_back_a_generation_then_empty(tmp_path, 2)
 
 
 class TestCompactionBounds:
